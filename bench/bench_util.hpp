@@ -3,8 +3,10 @@
 // Every fig* binary prints its figure as an aligned text table by
 // default; pass --csv for machine-readable output and --quick for a
 // reduced-fidelity run (fewer simulation repetitions, shorter synthetic
-// traces). Benches ported to the campaign engine also honor --no-cache
-// (force re-execution) and --cache-dir DIR.
+// traces). Every figure bench but the trace-driven fig09, and the two
+// campaign ablation sweeps, run their catalogue scenario through the
+// campaign engine, so they also honor --no-cache (force re-execution)
+// and --cache-dir DIR.
 #pragma once
 
 #include <cstring>

@@ -9,8 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const auto options = bench::options_from_args(argc, argv);
-  const core::FigureData fig = core::fig5_edge_localpref_simulated(options);
+  const campaign::CampaignReport report =
+      bench::run_scenario("fig05", argc, argv);
+  const core::FigureData& fig = bench::figure_of(report, "fig5");
   bench::print_figure(fig, argc, argv);
 
   std::cout << std::fixed << std::setprecision(2);

@@ -7,10 +7,11 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const core::FigureData fig7a = core::fig7a_immunization_analytical();
+  const campaign::CampaignReport report =
+      bench::run_scenario("fig07", argc, argv);
+  const core::FigureData& fig7a = bench::figure_of(report, "fig7a");
   bench::print_figure(fig7a, argc, argv);
-  const core::FigureData fig7b =
-      core::fig7b_immunization_ratelimited_analytical();
+  const core::FigureData& fig7b = bench::figure_of(report, "fig7b");
   bench::print_figure(fig7b, argc, argv);
 
   std::cout << std::fixed << std::setprecision(3);

@@ -9,12 +9,11 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const auto options = bench::options_from_args(argc, argv);
-
-  const core::FigureData fig8a = core::fig8a_immunization_simulated(options);
+  const campaign::CampaignReport report =
+      bench::run_scenario("fig08", argc, argv);
+  const core::FigureData& fig8a = bench::figure_of(report, "fig8a");
   bench::print_figure(fig8a, argc, argv);
-  const core::FigureData fig8b =
-      core::fig8b_immunization_ratelimited_simulated(options);
+  const core::FigureData& fig8b = bench::figure_of(report, "fig8b");
   bench::print_figure(fig8b, argc, argv);
 
   std::cout << std::fixed << std::setprecision(3);

@@ -9,7 +9,9 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const core::FigureData fig = core::fig10_trace_rates_analytical();
+  const campaign::CampaignReport report =
+      bench::run_scenario("fig10", argc, argv);
+  const core::FigureData& fig = bench::figure_of(report, "fig10");
   bench::print_figure(fig, argc, argv);
 
   std::cout << std::fixed << std::setprecision(1);

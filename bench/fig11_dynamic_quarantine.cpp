@@ -11,12 +11,13 @@
 
 int main(int argc, char** argv) {
   using namespace dq;
-  const auto options = bench::options_from_args(argc, argv);
-
-  quarantine::QuarantineReport cost;
-  const core::FigureData fig =
-      core::fig11_dynamic_quarantine_simulated(options, &cost);
+  const campaign::CampaignReport report =
+      bench::run_scenario("fig11", argc, argv);
+  const core::FigureData& fig = bench::figure_of(report, "fig11");
   bench::print_figure(fig, argc, argv);
+  const quarantine::QuarantineReport& cost =
+      bench::outcome_of(report, "fig11/dynamic-quarantine")
+          .sim_result->quarantine_mean;
 
   const double f_none = fig.find("no-defense").back_value();
   const double f_rl = fig.find("100%-host-RL").back_value();

@@ -1,9 +1,8 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -64,22 +63,13 @@ const char* to_string(JobPhase phase) noexcept {
   return "unknown";
 }
 
-std::size_t Campaign::add_job(std::string name, JobConfig config,
-                              std::vector<std::size_t> deps) {
-  const std::size_t index = jobs_.size();
+std::size_t Campaign::add_job(std::string name, JobConfig config) {
   for (const JobEntry& existing : jobs_) {
     if (existing.name == name)
       throw std::invalid_argument("Campaign: duplicate job name " + name);
   }
-  for (std::size_t dep : deps) {
-    if (dep >= index)
-      throw std::invalid_argument("Campaign: dependency must reference an "
-                                  "earlier job (got " +
-                                  std::to_string(dep) + " for job " +
-                                  std::to_string(index) + ")");
-  }
-  jobs_.push_back({std::move(name), std::move(config), std::move(deps)});
-  return index;
+  jobs_.push_back({std::move(name), std::move(config)});
+  return jobs_.size() - 1;
 }
 
 JobOutcome execute_job(const std::string& name, const JobConfig& config,
@@ -108,8 +98,6 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
     if (!outcome.cache_hit) {
       if (config.kind == JobConfig::Kind::kSimulation) {
         const sim::Network net = build_network(config.topology);
-        sim::SimulationConfig cfg = config.sim;
-        cfg.seed = substream_seed(outcome.hash);
         // Rings are only allocated when a trace is requested; metrics
         // always record (cheap, and needed for the artifact snapshot).
         const bool tracing = !options.trace_dir.empty();
@@ -120,7 +108,7 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
         std::optional<sim::AveragedResult> avg_out;
         {
           const obs::Span span(spans, "simulate");
-          avg_out = sim::run_many(net, cfg, config.runs,
+          avg_out = sim::run_many(net, config.sim, config.runs,
                                   /*max_parallelism=*/1, &sink);
         }
         const sim::AveragedResult& avg = *avg_out;
@@ -176,63 +164,18 @@ JobOutcome execute_job(const std::string& name, const JobConfig& config,
   return outcome;
 }
 
-std::vector<JobOutcome> Campaign::run(const RunOptions& options) const {
-  const std::size_t n = jobs_.size();
-  std::vector<JobOutcome> outcomes(n);
-  if (n == 0) return outcomes;
-
-  // Dependency bookkeeping: pending dep counts and reverse edges.
-  std::vector<std::size_t> pending(n, 0);
-  std::vector<std::vector<std::size_t>> dependents(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending[i] = jobs_[i].deps.size();
-    for (std::size_t dep : jobs_[i].deps) dependents[dep].push_back(i);
-  }
-
+std::vector<JobOutcome> Campaign::run(const RunOptions& options,
+                                      std::size_t first) const {
+  std::vector<JobOutcome> outcomes(jobs_.size() -
+                                   std::min(first, jobs_.size()));
+  if (outcomes.empty()) return outcomes;
   WorkStealingPool pool(options.jobs);
-  std::mutex mu;  // guards pending[] and the failed-dep propagation
-
-  // Declared std::function so the lambda can capture itself and submit
-  // dependents as they become ready. A job marked failed before it ran
-  // (upstream failure) flows through here too — it just skips
-  // execution and keeps propagating, so arbitrarily deep failure
-  // chains resolve without special cases.
-  std::function<void(std::size_t)> run_job = [&](std::size_t index) {
-    const bool skipped = [&] {
-      std::lock_guard<std::mutex> lock(mu);
-      return !outcomes[index].error.empty();
-    }();
-    if (!skipped) {
-      outcomes[index] =
-          execute_job(jobs_[index].name, jobs_[index].config, options, index);
-    } else {
-      notify(options, index, jobs_[index].name, JobPhase::kFailed);
-    }
-    std::vector<std::size_t> ready;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      for (std::size_t dependent : dependents[index]) {
-        if (!outcomes[index].ok() && outcomes[dependent].error.empty()) {
-          outcomes[dependent].name = jobs_[dependent].name;
-          outcomes[dependent].config = jobs_[dependent].config;
-          outcomes[dependent].hash = job_hash(jobs_[dependent].config);
-          outcomes[dependent].error =
-              "dependency failed: " + jobs_[index].name;
-        }
-        if (--pending[dependent] == 0) ready.push_back(dependent);
-      }
-    }
-    for (std::size_t dependent : ready) {
-      notify(options, dependent, jobs_[dependent].name, JobPhase::kQueued);
-      pool.submit([&run_job, dependent] { run_job(dependent); });
-    }
-  };
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (pending[i] == 0) {
-      notify(options, i, jobs_[i].name, JobPhase::kQueued);
-      pool.submit([&run_job, i] { run_job(i); });
-    }
+  for (std::size_t i = first; i < jobs_.size(); ++i) {
+    notify(options, i, jobs_[i].name, JobPhase::kQueued);
+    pool.submit([this, &options, &outcomes, first, i] {
+      outcomes[i - first] =
+          execute_job(jobs_[i].name, jobs_[i].config, options, i);
+    });
   }
   pool.wait_idle();
   return outcomes;

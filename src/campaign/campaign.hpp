@@ -1,12 +1,12 @@
 // Declarative experiment-campaign engine.
 //
-// A Campaign is a DAG of content-hashed jobs. Each job's configuration
+// A Campaign is a list of content-hashed jobs. Each job's configuration
 // is canonically serialized (job.hpp) and FNV-hashed; the hash names
-// the job's on-disk artifact (cache.hpp) and seeds its private RNG
-// substream. Execution runs on one shared work-stealing pool
-// (pool.hpp) — results are byte-identical regardless of thread count,
-// cache state, or completion order, because nothing about scheduling
-// feeds into a job's RNG stream or its serialized output.
+// the job's on-disk artifact (cache.hpp). Execution runs on one shared
+// work-stealing pool (pool.hpp) — results are byte-identical regardless
+// of thread count, cache state, or completion order, because each job
+// runs on its config's own seed and nothing about scheduling feeds into
+// its RNG stream or its serialized output.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +52,7 @@ enum class JobPhase : std::uint8_t {
   kStarted,   ///< execution began (cache probe included)
   kCacheHit,  ///< artifact served from .dq-cache
   kFinished,  ///< completed OK (cache hit or fresh run)
-  kFailed,    ///< completed with an error (or skipped: upstream failed)
+  kFailed,    ///< completed with an error
 };
 
 const char* to_string(JobPhase phase) noexcept;
@@ -90,37 +90,30 @@ struct RunOptions {
 
 class Campaign {
  public:
-  /// Adds a job whose dependencies are indices of previously added
-  /// jobs (so the graph is acyclic by construction). Returns the new
-  /// job's index. Throws std::invalid_argument on a forward/self dep
-  /// or a duplicate name.
-  std::size_t add_job(std::string name, JobConfig config,
-                      std::vector<std::size_t> deps = {});
+  /// Adds a job and returns its index. Throws std::invalid_argument on
+  /// a duplicate name.
+  std::size_t add_job(std::string name, JobConfig config);
 
   std::size_t size() const noexcept { return jobs_.size(); }
-  const std::string& name_of(std::size_t i) const { return jobs_[i].name; }
-  const JobConfig& config_of(std::size_t i) const { return jobs_[i].config; }
 
-  /// Executes every job, respecting dependencies, on a work-stealing
-  /// pool of `options.jobs` threads. Outcomes are indexed like the
-  /// jobs. Failed jobs carry their error; jobs downstream of a failure
-  /// are skipped with a "dependency failed" error.
-  std::vector<JobOutcome> run(const RunOptions& options) const;
+  /// Executes jobs [first, size()) on a work-stealing pool of
+  /// `options.jobs` threads; outcome i belongs to job first + i. A
+  /// failed job carries its error and the others still run.
+  std::vector<JobOutcome> run(const RunOptions& options,
+                              std::size_t first = 0) const;
 
  private:
   struct JobEntry {
     std::string name;
     JobConfig config;
-    std::vector<std::size_t> deps;
   };
   std::vector<JobEntry> jobs_;
 };
 
 /// Runs a single job to an outcome: cache probe, then (on a miss)
-/// build + simulate/evaluate, serialize, store. The effective
-/// simulation seed is substream_seed(job hash) — the config's own
-/// `seed` participates in the hash but is not used directly, so any
-/// config edit lands on a fresh, reproducible stream.
+/// build + simulate/evaluate, serialize, store. A simulation runs on
+/// its config's own `seed`, so the series of one figure, which share
+/// that seed, share their random numbers.
 JobOutcome execute_job(const std::string& name, const JobConfig& config,
                        const RunOptions& options, std::size_t index = 0);
 

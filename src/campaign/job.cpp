@@ -180,9 +180,11 @@ JsonValue sim_config_to_json(const sim::SimulationConfig& c) {
 
 JsonValue job_config_to_json(const JobConfig& config) {
   JsonValue o = JsonValue::object();
-  // Schema version: bump when the canonical form changes, so stale
-  // cache artifacts from an older layout can never alias a new hash.
-  o.set("schema", JsonValue::integer(1));
+  // Schema version: bump when the canonical form changes or when the
+  // same config starts producing different output, so stale cache
+  // artifacts can never alias a new hash. Schema 2: simulation jobs
+  // run on their config's own seed instead of a hash-derived one.
+  o.set("schema", JsonValue::integer(2));
   if (config.kind == JobConfig::Kind::kAnalyticalFigure) {
     o.set("kind", JsonValue::str("analytical"));
     o.set("figure_id", JsonValue::str(config.figure_id));
@@ -197,10 +199,6 @@ JsonValue job_config_to_json(const JobConfig& config) {
 
 std::uint64_t job_hash(const JobConfig& config) {
   return fnv1a64(job_config_to_json(config).dump());
-}
-
-std::uint64_t substream_seed(std::uint64_t hash) noexcept {
-  return mix64(hash);
 }
 
 }  // namespace dq::campaign

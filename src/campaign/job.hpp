@@ -7,11 +7,11 @@
 // is canonically serialized, so the content hash fully identifies the
 // result — equal hash ⇒ equal artifact bytes.
 //
-// Determinism: a simulation job's RNG substream is derived from its
-// own content hash (see substream_seed), not from scheduling. Results
-// are therefore bit-identical regardless of thread count, cache state,
-// or the order jobs execute in — and any config edit automatically
-// moves the job onto a fresh, decorrelated stream.
+// Determinism: a simulation job runs on its config's own `seed`, never
+// on anything derived from scheduling. Results are therefore
+// bit-identical regardless of thread count, cache state, or the order
+// jobs execute in, and the jobs of one figure, which share a seed,
+// share their random numbers.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +72,5 @@ JsonValue job_config_to_json(const JobConfig& config);
 
 /// FNV-1a over job_config_to_json(config).dump().
 std::uint64_t job_hash(const JobConfig& config);
-
-/// The RNG seed a simulation job actually runs with: its content hash
-/// passed through a SplitMix64 finalizer. sim.seed still matters — it
-/// is hashed — but only through this derivation, which is what makes
-/// results independent of scheduling.
-std::uint64_t substream_seed(std::uint64_t hash) noexcept;
 
 }  // namespace dq::campaign

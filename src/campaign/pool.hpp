@@ -3,8 +3,7 @@
 // Each worker owns a deque: it pops its own work LIFO (cache-warm) and
 // steals FIFO from the busiest victim when empty, so a long chain of
 // jobs enqueued onto one worker spreads across the pool instead of
-// serializing. Tasks may submit further tasks (the DAG scheduler
-// enqueues dependents from completion callbacks); wait_idle() blocks
+// serializing. Tasks may submit further tasks; wait_idle() blocks
 // until every task — including ones spawned mid-flight — has finished.
 #pragma once
 

@@ -1,22 +1,23 @@
 #include "campaign/scenarios.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <initializer_list>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
-
-#include "campaign/result_io.hpp"
-#include "stats/hash.hpp"
 
 namespace dq::campaign {
 
 namespace {
 
-// The paper's Code-Red-class parameters (experiments_sim.cpp uses the
-// same constants; duplicated rather than exported because scenario
-// configs are meant to be readable in one place).
+// The paper's Code-Red-class parameters.
 constexpr double kBeta = 0.8;
 constexpr double kBeta2 = 0.01;
+constexpr double kMu = 0.1;
 
 sim::SimulationConfig base_sim(const core::ExperimentOptions& options,
                                double max_ticks) {
@@ -38,6 +39,9 @@ TopologySpec star_200() {
   return t;
 }
 
+/// The 1000-node BRITE-like power-law graph of Section 5.4, with the
+/// top 5% / next 10% of nodes by degree designated backbone / edge
+/// routers.
 TopologySpec powerlaw_1000(const core::ExperimentOptions& options) {
   TopologySpec t;
   t.kind = TopologySpec::Kind::kPowerLaw;
@@ -47,47 +51,72 @@ TopologySpec powerlaw_1000(const core::ExperimentOptions& options) {
   return t;
 }
 
-ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
+/// Subnetted topology for the local-preferential experiments: 25
+/// subnets x 40 hosts behind gateways (edge routers).
+TopologySpec subnets_25x40(const core::ExperimentOptions& options) {
+  TopologySpec t;
+  t.kind = TopologySpec::Kind::kSubnets;
+  t.num_subnets = 25;
+  t.hosts_per_subnet = 40;
+  t.build_seed = options.seed ^ 0x2545f4914f6cdd1dULL;
+  return t;
+}
+
+/// Adds simulation job `name`: `cfg`, changed by `edit` when given, on
+/// `topology`, averaged over the options' run count.
+void add_sim_job(
+    std::vector<ScenarioJob>& jobs, std::string name,
+    const TopologySpec& topology, sim::SimulationConfig cfg,
+    const core::ExperimentOptions& options,
+    const std::function<void(sim::SimulationConfig&)>& edit = {}) {
+  if (edit) edit(cfg);
+  JobConfig job;
+  job.topology = topology;
+  job.sim = std::move(cfg);
+  job.runs = options.sim_runs;
+  jobs.push_back({std::move(name), std::move(job)});
+}
+
+/// "20" for an infected fraction of 0.2: the level in job names and
+/// series labels.
+std::string percent(double level) {
+  return std::to_string(static_cast<int>(level * 100));
+}
+
+/// A scenario whose figures each come whole from one closed-form job,
+/// named after the figure (simulation jobs may be added after).
+ScenarioDef analytical_scenario(std::string name, std::string description,
+                                std::initializer_list<const char*> ids) {
   ScenarioDef s;
-  s.name = "fig01";
-  s.description =
-      "Rate limiting on a 200-node star graph: analytical models plus "
-      "four simulated deployments (paper Fig. 1)";
-  {
+  s.name = std::move(name);
+  s.description = std::move(description);
+  for (const char* id : ids) {
     JobConfig job;
     job.kind = JobConfig::Kind::kAnalyticalFigure;
-    job.figure_id = "fig1a";
-    s.jobs.push_back({"analytical", std::move(job)});
+    job.figure_id = id;
+    s.jobs.push_back({id, std::move(job)});
+    s.figures.push_back({id, "", "", "", id, {}});
   }
-  auto sim_job = [&](const char* name, sim::SimulationConfig cfg) {
-    JobConfig job;
-    job.topology = star_200();
-    job.sim = std::move(cfg);
-    job.runs = options.sim_runs;
-    s.jobs.push_back({name, std::move(job)});
-  };
-  sim_job("no-rl", base_sim(options, 50.0));
-  {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
-    cfg.deployment.host_filter_fraction = 0.10;
-    sim_job("leaf-rl-10", std::move(cfg));
-  }
-  {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
-    cfg.deployment.host_filter_fraction = 0.30;
-    sim_job("leaf-rl-30", std::move(cfg));
-  }
-  {
-    sim::SimulationConfig cfg = base_sim(options, 50.0);
-    cfg.deployment.node_forward_cap = {0u, 6u};
-    sim_job("hub-rl", std::move(cfg));
-  }
-  s.figures.push_back({"fig1a",
-                       "Rate limiting on a star graph (analytical)",
-                       "time",
-                       "infected hosts",
-                       "analytical",
-                       {}});
+  return s;
+}
+
+ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
+  ScenarioDef s = analytical_scenario(
+      "fig01",
+      "Rate limiting on a 200-node star graph: analytical models plus "
+      "four simulated deployments (paper Fig. 1)",
+      {"fig1a"});
+  // Leaf filters at 10% / 30%; hub rate limiting as a forwarding cap of
+  // 6 packets per tick at the hub.
+  const TopologySpec star = star_200();
+  const sim::SimulationConfig base = base_sim(options, 50.0);
+  add_sim_job(s.jobs, "no-rl", star, base, options);
+  add_sim_job(s.jobs, "leaf-rl-10", star, base, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 0.10; });
+  add_sim_job(s.jobs, "leaf-rl-30", star, base, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 0.30; });
+  add_sim_job(s.jobs, "hub-rl", star, base, options,
+              [](auto& c) { c.deployment.node_forward_cap = {0u, 6u}; });
   s.figures.push_back(
       {"fig1b",
        "Rate limiting on a 200-node star graph (simulation)",
@@ -101,74 +130,24 @@ ScenarioDef fig01_scenario(const core::ExperimentOptions& options) {
   return s;
 }
 
-ScenarioDef fig02_scenario() {
-  ScenarioDef s;
-  s.name = "fig02";
-  s.description =
-      "Host-based deployment sweep, analytical (paper Fig. 2)";
-  JobConfig job;
-  job.kind = JobConfig::Kind::kAnalyticalFigure;
-  job.figure_id = "fig2";
-  s.jobs.push_back({"analytical", std::move(job)});
-  s.figures.push_back({"fig2",
-                       "Host-based rate limiting (analytical)",
-                       "time",
-                       "infected hosts",
-                       "analytical",
-                       {}});
-  return s;
-}
-
-ScenarioDef fig03_scenario() {
-  ScenarioDef s;
-  s.name = "fig03";
-  s.description =
-      "Edge-router limiting across and within subnets, analytical "
-      "(paper Fig. 3)";
-  for (const char* id : {"fig3a", "fig3b"}) {
-    JobConfig job;
-    job.kind = JobConfig::Kind::kAnalyticalFigure;
-    job.figure_id = id;
-    s.jobs.push_back({id, std::move(job)});
-    s.figures.push_back({id,
-                         std::string("Edge-router limiting (") + id + ")",
-                         "time",
-                         "infected hosts",
-                         id,
-                         {}});
-  }
-  return s;
-}
-
 ScenarioDef fig04_scenario(const core::ExperimentOptions& options) {
+  // Random-propagation worm: no RL, 5% of end hosts, edge routers,
+  // backbone routers. The paper reports ~5x longer to 50% infection
+  // under backbone RL.
   ScenarioDef s;
   s.name = "fig04";
   s.description =
       "Host vs edge vs backbone rate limiting on the 1000-node "
       "power-law topology (paper Fig. 4)";
-  auto sim_job = [&](const char* name, sim::SimulationConfig cfg) {
-    JobConfig job;
-    job.topology = powerlaw_1000(options);
-    job.sim = std::move(cfg);
-    job.runs = options.sim_runs;
-    s.jobs.push_back({name, std::move(job)});
-  };
-  sim_job("no-rl", base_sim(options, 120.0));
-  {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
-    cfg.deployment.host_filter_fraction = 0.05;
-    sim_job("host-rl-5", std::move(cfg));
-  }
-  {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
-    cfg.deployment.edge_router_limited = true;
-    sim_job("edge-rl", std::move(cfg));
-  }
-  {
-    sim::SimulationConfig cfg = base_sim(options, 120.0);
-    cfg.deployment.backbone_limited = true;
-    sim_job("backbone-rl", std::move(cfg));
-  }
+  const TopologySpec topo = powerlaw_1000(options);
+  const sim::SimulationConfig base = base_sim(options, 120.0);
+  add_sim_job(s.jobs, "no-rl", topo, base, options);
+  add_sim_job(s.jobs, "host-rl-5", topo, base, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 0.05; });
+  add_sim_job(s.jobs, "edge-rl", topo, base, options,
+              [](auto& c) { c.deployment.edge_router_limited = true; });
+  add_sim_job(s.jobs, "backbone-rl", topo, base, options,
+              [](auto& c) { c.deployment.backbone_limited = true; });
   s.figures.push_back(
       {"fig4",
        "Rate limiting in a power-law 1000-node topology (simulation)",
@@ -182,16 +161,234 @@ ScenarioDef fig04_scenario(const core::ExperimentOptions& options) {
   return s;
 }
 
+ScenarioDef fig05_scenario(const core::ExperimentOptions& options) {
+  // Random vs local-preferential worms under edge-router rate limiting.
+  // The local-preferential worm is barely slowed; the random worm sees
+  // a ~50% slowdown.
+  ScenarioDef s;
+  s.name = "fig05";
+  s.description =
+      "Edge-router rate limiting against random and local-preferential "
+      "worms on 25 subnets of 40 hosts (paper Fig. 5)";
+  const TopologySpec topo = subnets_25x40(options);
+  sim::SimulationConfig random = base_sim(options, 25.0);
+  random.worm.local_bias = 0.8;
+  sim::SimulationConfig localpref = random;
+  localpref.worm.selection = sim::TargetSelection::kLocalPreferential;
+  // Edge filters: a flat per-link budget at every gateway-incident link
+  // (the weighted-share rule of the Internet-scale Figure 4 run would
+  // starve a single enterprise's uplinks entirely).
+  const auto edge_rl = [](sim::SimulationConfig& c) {
+    c.deployment.edge_router_limited = true;
+    c.deployment.weight_by_routing_load = false;
+    c.deployment.base_link_capacity = 2.0;
+  };
+  add_sim_job(s.jobs, "no-rl-random", topo, random, options);
+  add_sim_job(s.jobs, "edge-rl-random", topo, random, options, edge_rl);
+  add_sim_job(s.jobs, "no-rl-localpref", topo, localpref, options);
+  add_sim_job(s.jobs, "edge-rl-localpref", topo, localpref, options, edge_rl);
+  // Figure 5's metric is the spread *within* a subnet — edge filters
+  // sit at the gateway and cannot touch intra-LAN traffic.
+  constexpr auto subnet = &sim::AveragedResult::seed_subnet_infected;
+  s.figures.push_back({"fig5",
+                       "Edge-router rate limiting for random and "
+                       "local-preferential worms (simulation)",
+                       "time (ticks)",
+                       "fraction of nodes infected",
+                       "",
+                       {{"no-RL-random", "no-rl-random", subnet},
+                        {"edge-RL-random", "edge-rl-random", subnet},
+                        {"no-RL-localpref", "no-rl-localpref", subnet},
+                        {"edge-RL-localpref", "edge-rl-localpref", subnet}}});
+  return s;
+}
+
+ScenarioDef fig06_scenario(const core::ExperimentOptions& options) {
+  // Local-preferential worm: host filters at 5% / 30% do almost
+  // nothing; backbone rate limiting is substantially more effective.
+  ScenarioDef s;
+  s.name = "fig06";
+  s.description =
+      "Host vs backbone rate limiting against a local-preferential worm "
+      "on 25 subnets of 40 hosts (paper Fig. 6)";
+  const TopologySpec topo = subnets_25x40(options);
+  const sim::SimulationConfig random = base_sim(options, 50.0);
+  sim::SimulationConfig localpref = random;
+  localpref.worm.selection = sim::TargetSelection::kLocalPreferential;
+  localpref.worm.local_bias = 0.8;
+  // Reference line: random worm, no rate limiting (the paper's "No RL
+  // random propagation").
+  add_sim_job(s.jobs, "no-rl-random", topo, random, options);
+  // Extra baseline beyond the paper: the local-preferential worm with
+  // no defense, so the host-RL lines compare against their own worm.
+  add_sim_job(s.jobs, "no-rl-localpref", topo, localpref, options);
+  add_sim_job(s.jobs, "host-rl-5", topo, localpref, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 0.05; });
+  add_sim_job(s.jobs, "host-rl-30", topo, localpref, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 0.30; });
+  // Backbone routers pass almost no worm-suspicious traffic: the
+  // analytical counterpart (Equation 6) scales the allowed rate by
+  // N/2^32, so covered paths leak only a trickle.
+  add_sim_job(s.jobs, "backbone-rl", topo, localpref, options, [](auto& c) {
+    c.deployment.backbone_limited = true;
+    c.deployment.weight_by_routing_load = false;
+    c.deployment.base_link_capacity = 0.05;
+    c.deployment.min_link_capacity = 0.05;
+  });
+  s.figures.push_back({"fig6",
+                       "Host vs backbone rate limiting for "
+                       "local-preferential worms (simulation)",
+                       "time (ticks)",
+                       "fraction of nodes infected",
+                       "",
+                       {{"no-RL-random", "no-rl-random"},
+                        {"no-RL-localpref", "no-rl-localpref"},
+                        {"5%-host-RL", "host-rl-5"},
+                        {"30%-host-RL", "host-rl-30"},
+                        {"backbone-RL", "backbone-rl"}}});
+  return s;
+}
+
+ScenarioDef fig08_scenario(const core::ExperimentOptions& options) {
+  // (a) Delayed immunization, no rate limiting: total fraction ever
+  // infected when patching starts at 20/50/80% infection (the paper
+  // reports ~80/90/98% final totals). (b) The same with backbone rate
+  // limiting; immunization starts at the fixed ticks at which the
+  // *unthrottled* epidemic reached 20/50/80% — the paper's Section 6.2
+  // convention ("the timeticks chosen ... are the timeticks at which
+  // immunization started in our analytical model for delayed
+  // immunization without rate limiting"). Those ticks are read off
+  // (a)'s own no-immunization run, so the convention is self-consistent
+  // with this simulator's timeline. The 20%-tick case ends ~10% below
+  // (a)'s matching case because rate limiting holds the infection
+  // lower while patching catches up.
+  ScenarioDef s;
+  s.name = "fig08";
+  s.description =
+      "Delayed immunization alone and with backbone rate limiting on "
+      "the 1000-node power-law topology (paper Fig. 8)";
+  const TopologySpec topo = powerlaw_1000(options);
+  const sim::SimulationConfig base = base_sim(options, 50.0);
+  // (b)'s deployment: Section 6.2 pairs immunization with a *moderate*
+  // backbone deployment. Its analytical twin (Figure 7(b)) uses
+  // γ = β(1−α) with α ≈ 0.5, so the throttled epidemic still saturates
+  // within the horizon. A flat per-link budget reproduces that regime;
+  // Figure 4's weighted-share variant would stall the worm before the
+  // immunization ticks even arrive.
+  sim::SimulationConfig rl = base;
+  rl.deployment.backbone_limited = true;
+  rl.deployment.weight_by_routing_load = false;
+  rl.deployment.base_link_capacity = 4.0;
+  rl.deployment.min_link_capacity = 4.0;
+
+  ScenarioFigure a{"fig8a",
+                   "Simulated delayed immunization (total ever infected)",
+                   "time (ticks)",
+                   "fraction of nodes ever infected",
+                   "",
+                   {{"no-immunization", "no-immunization"}}};
+  add_sim_job(s.jobs, "no-immunization", topo, base, options);
+  for (const double level : {0.2, 0.5, 0.8}) {
+    const std::string name = "immunize-at-" + percent(level);
+    add_sim_job(s.jobs, name, topo, base, options, [level](auto& c) {
+      c.immunization.enabled = true;
+      c.immunization.rate = kMu;
+      c.immunization.start_at_infected_fraction = level;
+    });
+    a.series.push_back({name + "%", name});
+  }
+  s.figures.push_back(std::move(a));
+
+  add_sim_job(s.jobs, "rl-no-immunization", topo, rl, options);
+  s.figures.push_back({"fig8b",
+                       "Simulated delayed immunization with backbone rate "
+                       "limiting (total ever infected)",
+                       "time (ticks)",
+                       "fraction of nodes ever infected",
+                       "",
+                       {{"no-immunization", "rl-no-immunization"}}});
+  s.derived = ScenarioDerivation{
+      "no-immunization", "fig8b",
+      [options, topo, rl](const sim::AveragedResult& reference) {
+        ScenarioDerivation::Stage stage;
+        for (const double level : {0.2, 0.5, 0.8}) {
+          const double tick =
+              std::max(1.0, reference.ever_infected.time_to_reach(level));
+          const std::string name = "rl-immunize-at-" + percent(level);
+          add_sim_job(stage.jobs, name, topo, rl, options, [tick](auto& c) {
+            c.immunization.enabled = true;
+            c.immunization.rate = kMu;
+            c.immunization.start_at_tick = tick;
+          });
+          stage.series.push_back(
+              {"immunize-at-t(" + percent(level) + "%)=" +
+                   std::to_string(static_cast<int>(tick + 0.5)),
+               name});
+        }
+        return stage;
+      }};
+  return s;
+}
+
+ScenarioDef fig11_scenario(const core::ExperimentOptions& options) {
+  // The quarantine showdown runs in a *sparse* address space: 90% of
+  // scans hit unused addresses (hit_probability 0.1), which is both
+  // realistic for Internet worms and the failure signal the per-host
+  // detectors key on. All four series share that worm and a 0.2
+  // packets/node/tick legitimate background load, so containment and
+  // collateral damage are measured on equal footing. The
+  // dynamic-quarantine job's averaged `quarantine_mean` carries the
+  // cost report (detection latency, FP rate, benign quarantine ticks).
+  ScenarioDef s;
+  s.name = "fig11";
+  s.description =
+      "Dynamic quarantine vs static defenses on the 1000-node power-law "
+      "topology, sparse address space (extension, Fig. 11)";
+  const TopologySpec topo = powerlaw_1000(options);
+  sim::SimulationConfig sparse = base_sim(options, 100.0);
+  sparse.worm.hit_probability = 0.1;
+  sparse.worm.initial_infected = 5;
+  sparse.legit.rate_per_node = 0.2;
+  add_sim_job(s.jobs, "no-defense", topo, sparse, options);
+  // The strongest static deployment of Section 5.1: every end host
+  // permanently throttled to beta2.
+  add_sim_job(s.jobs, "host-rl-100", topo, sparse, options,
+              [](auto& c) { c.deployment.host_filter_fraction = 1.0; });
+  // Moore et al.'s address blacklisting with a 5-tick identification
+  // delay, filtering at every link.
+  add_sim_job(s.jobs, "blacklist", topo, sparse, options, [](auto& c) {
+    c.response.kind = sim::ResponseConfig::Kind::kBlacklist;
+    c.response.reaction_time = 5.0;
+    c.response.filters_everywhere = true;
+  });
+  // Dynamic quarantine with the default detectors; a first offense
+  // costs 100 ticks of isolation, a repeat offense 400.
+  add_sim_job(s.jobs, "dynamic-quarantine", topo, sparse, options,
+              [](auto& c) {
+                c.quarantine.enabled = true;
+                c.quarantine.policy.base_period = 100.0;
+              });
+  s.figures.push_back({"fig11",
+                       "Dynamic quarantine vs static defenses, power-law "
+                       "1000-node topology, sparse address space "
+                       "(simulation)",
+                       "time (ticks)",
+                       "fraction of nodes ever infected",
+                       "",
+                       {{"no-defense", "no-defense"},
+                        {"100%-host-RL", "host-rl-100"},
+                        {"blacklist", "blacklist"},
+                        {"dynamic-quarantine", "dynamic-quarantine"}}});
+  return s;
+}
+
 ScenarioDef ablation_beta_scenario(const core::ExperimentOptions& options) {
   ScenarioDef s;
   s.name = "ablation-beta";
   s.description =
       "Worm-speed sensitivity: backbone rate limiting vs beta in "
       "{0.1..3.2} on the 1000-node power-law topology";
-  TopologySpec topo;
-  topo.kind = TopologySpec::Kind::kPowerLaw;
-  topo.nodes = 1000;
-  topo.ba_links = 2;
+  TopologySpec topo = powerlaw_1000(options);
   topo.build_seed = options.seed ^ 0x510e527fade682d1ULL;
   ScenarioFigure fig{"ablation-beta",
                      "Backbone rate limiting vs worm speed "
@@ -202,20 +399,14 @@ ScenarioDef ablation_beta_scenario(const core::ExperimentOptions& options) {
                      {}};
   for (double beta : {0.1, 0.2, 0.4, 0.8, 1.6, 3.2}) {
     for (bool limited : {false, true}) {
-      sim::SimulationConfig cfg;
-      cfg.worm.contact_rate = beta;
-      cfg.worm.initial_infected = 1;
-      cfg.max_ticks = 200.0;
-      cfg.seed = options.seed;
-      cfg.deployment.backbone_limited = limited;
-      JobConfig job;
-      job.topology = topo;
-      job.sim = std::move(cfg);
-      job.runs = options.sim_runs;
       const std::string name = "beta-" + format_double(beta) +
                                (limited ? "-backbone" : "-none");
       fig.series.push_back({name, name});
-      s.jobs.push_back({name, std::move(job)});
+      add_sim_job(s.jobs, name, topo, base_sim(options, 200.0), options,
+                  [beta, limited](auto& c) {
+                    c.worm.contact_rate = beta;
+                    c.deployment.backbone_limited = limited;
+                  });
     }
   }
   s.figures.push_back(std::move(fig));
@@ -237,26 +428,16 @@ ScenarioDef ablation_backbone_scenario(
                      "",
                      {}};
   for (double depth : {0.0, 0.01, 0.02, 0.05, 0.10, 0.20}) {
-    TopologySpec topo;
-    topo.kind = TopologySpec::Kind::kPowerLaw;
-    topo.nodes = 1000;
-    topo.ba_links = 2;
+    TopologySpec topo = powerlaw_1000(options);
     topo.backbone_fraction = depth;
     topo.edge_fraction = 0.0;
     topo.build_seed = options.seed;
-    sim::SimulationConfig cfg;
-    cfg.worm.contact_rate = kBeta;
-    cfg.worm.initial_infected = 1;
-    cfg.max_ticks = 200.0;
-    cfg.seed = options.seed;
-    cfg.deployment.backbone_limited = depth > 0.0;
-    JobConfig job;
-    job.topology = topo;
-    job.sim = std::move(cfg);
-    job.runs = options.sim_runs;
     const std::string name = "depth-" + format_double(depth);
     fig.series.push_back({name, name});
-    s.jobs.push_back({name, std::move(job)});
+    add_sim_job(s.jobs, name, topo, base_sim(options, 200.0), options,
+                [depth](auto& c) {
+                  c.deployment.backbone_limited = depth > 0.0;
+                });
   }
   s.figures.push_back(std::move(fig));
   return s;
@@ -268,9 +449,29 @@ std::vector<ScenarioDef> builtin_scenarios(
     const core::ExperimentOptions& options) {
   std::vector<ScenarioDef> catalogue;
   catalogue.push_back(fig01_scenario(options));
-  catalogue.push_back(fig02_scenario());
-  catalogue.push_back(fig03_scenario());
+  catalogue.push_back(analytical_scenario(
+      "fig02", "Host-based deployment sweep, analytical (paper Fig. 2)",
+      {"fig2"}));
+  catalogue.push_back(analytical_scenario(
+      "fig03",
+      "Edge-router limiting across and within subnets, analytical "
+      "(paper Fig. 3)",
+      {"fig3a", "fig3b"}));
   catalogue.push_back(fig04_scenario(options));
+  catalogue.push_back(fig05_scenario(options));
+  catalogue.push_back(fig06_scenario(options));
+  catalogue.push_back(analytical_scenario(
+      "fig07",
+      "Delayed immunization alone and with backbone rate limiting, "
+      "analytical (paper Fig. 7)",
+      {"fig7a", "fig7b"}));
+  catalogue.push_back(fig08_scenario(options));
+  catalogue.push_back(analytical_scenario(
+      "fig10",
+      "Trace-derived practical rate limits fed back into the models, "
+      "analytical (paper Fig. 10)",
+      {"fig10"}));
+  catalogue.push_back(fig11_scenario(options));
   catalogue.push_back(ablation_beta_scenario(options));
   catalogue.push_back(ablation_backbone_scenario(options));
   return catalogue;
@@ -283,46 +484,112 @@ const ScenarioDef* find_scenario(const std::vector<ScenarioDef>& catalogue,
   return nullptr;
 }
 
+void check_scenarios(const std::vector<ScenarioDef>& scenarios) {
+  std::set<std::string> figure_ids;
+  for (const ScenarioDef& s : scenarios) {
+    const auto fail = [&](const std::string& what) {
+      throw std::invalid_argument("scenario " + s.name + ": " + what);
+    };
+    std::unordered_map<std::string, const JobConfig*> jobs;
+    for (const ScenarioJob& job : s.jobs)
+      if (!jobs.emplace(job.name, &job.config).second)
+        fail("duplicate job name " + job.name);
+    const auto job_of = [&](const std::string& what,
+                            const std::string& local) {
+      const auto it = jobs.find(local);
+      if (it == jobs.end()) fail(what + " references unknown job " + local);
+      return it->second;
+    };
+    std::set<std::string> own_figures;
+    for (const ScenarioFigure& fig : s.figures) {
+      if (!figure_ids.insert(fig.id).second)
+        fail("duplicate figure id " + fig.id);
+      own_figures.insert(fig.id);
+      if (!fig.analytical_job.empty())
+        job_of("figure " + fig.id, fig.analytical_job);
+      for (const ScenarioFigure::SeriesRef& ref : fig.series)
+        job_of("figure " + fig.id, ref.job);
+    }
+    if (s.derived) {
+      const JobConfig* reference =
+          job_of("derivation", s.derived->reference_job);
+      if (reference->kind != JobConfig::Kind::kSimulation)
+        fail("derivation reference " + s.derived->reference_job +
+             " is not a simulation job");
+      if (!own_figures.contains(s.derived->figure))
+        fail("derivation extends unknown figure " + s.derived->figure);
+    }
+  }
+}
+
 CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
                              const RunOptions& options) {
+  check_scenarios(scenarios);
+  // Copies: the derived stage appends its jobs and series to them.
+  std::vector<ScenarioDef> expanded = scenarios;
   Campaign campaign;
   // (scenario index, local job name) -> campaign job index, with
   // cross-scenario dedup by content hash: an identical config runs
-  // once no matter how many scenarios request it.
+  // once no matter how many scenarios request it. Outcomes of both
+  // stages are concatenated in campaign order, so the campaign index
+  // is also the outcome index.
   std::unordered_map<std::uint64_t, std::size_t> by_hash;
   std::vector<std::unordered_map<std::string, std::size_t>> local_index(
-      scenarios.size());
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    for (const ScenarioJob& job : scenarios[si].jobs) {
-      const std::uint64_t hash = job_hash(job.config);
-      auto [it, inserted] = by_hash.try_emplace(hash, campaign.size());
-      if (inserted) {
-        campaign.add_job(scenarios[si].name + "/" + job.name, job.config);
-      }
-      if (!local_index[si].emplace(job.name, it->second).second)
-        throw std::invalid_argument("scenario " + scenarios[si].name +
-                                    ": duplicate job name " + job.name);
+      expanded.size());
+  const auto add_jobs = [&](std::size_t si, std::size_t first) {
+    const ScenarioDef& s = expanded[si];
+    for (std::size_t j = first; j < s.jobs.size(); ++j) {
+      const ScenarioJob& job = s.jobs[j];
+      auto [it, inserted] =
+          by_hash.try_emplace(job_hash(job.config), campaign.size());
+      if (inserted) campaign.add_job(s.name + "/" + job.name, job.config);
+      local_index[si].emplace(job.name, it->second);
     }
-  }
+  };
+  for (std::size_t si = 0; si < expanded.size(); ++si) add_jobs(si, 0);
 
   CampaignReport report;
   const auto start = std::chrono::steady_clock::now();
   report.outcomes = campaign.run(options);
+
+  for (std::size_t si = 0; si < expanded.size(); ++si) {
+    ScenarioDef& s = expanded[si];
+    if (!s.derived) continue;
+    const auto figure = std::find_if(
+        s.figures.begin(), s.figures.end(),
+        [&](const ScenarioFigure& f) { return f.id == s.derived->figure; });
+    const JobOutcome& reference =
+        report.outcomes[local_index[si].at(s.derived->reference_job)];
+    if (!reference.ok()) {
+      // No reference curve, no derived jobs: the figure they extend
+      // cannot be completed.
+      s.figures.erase(figure);
+      s.derived.reset();
+      continue;
+    }
+    ScenarioDerivation::Stage stage = s.derived->expand(*reference.sim_result);
+    std::move(stage.jobs.begin(), stage.jobs.end(),
+              std::back_inserter(s.jobs));
+    std::move(stage.series.begin(), stage.series.end(),
+              std::back_inserter(figure->series));
+  }
+  check_scenarios(expanded);  // now covering the derived jobs and series
+  const std::size_t fixed = campaign.size();
+  for (std::size_t si = 0; si < expanded.size(); ++si)
+    add_jobs(si, scenarios[si].jobs.size());
+  std::vector<JobOutcome> derived = campaign.run(options, fixed);
+  std::move(derived.begin(), derived.end(),
+            std::back_inserter(report.outcomes));
+
   const double total_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   report.manifest = build_manifest(report.outcomes, options, total_wall);
 
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
-    for (const ScenarioFigure& spec : scenarios[si].figures) {
-      const auto outcome_of =
-          [&](const std::string& local) -> const JobOutcome* {
-        auto it = local_index[si].find(local);
-        if (it == local_index[si].end())
-          throw std::invalid_argument("scenario " + scenarios[si].name +
-                                      ": figure references unknown job " +
-                                      local);
-        return &report.outcomes[it->second];
+  for (std::size_t si = 0; si < expanded.size(); ++si) {
+    for (const ScenarioFigure& spec : expanded[si].figures) {
+      const auto outcome_of = [&](const std::string& local) {
+        return &report.outcomes[local_index[si].at(local)];
       };
       if (!spec.analytical_job.empty()) {
         const JobOutcome* outcome = outcome_of(spec.analytical_job);
@@ -339,7 +606,7 @@ CampaignReport run_scenarios(const std::vector<ScenarioDef>& scenarios,
           complete = false;
           break;
         }
-        fig.series.push_back({ref.label, outcome->sim_result->ever_infected});
+        fig.series.push_back({ref.label, (*outcome->sim_result).*ref.curve});
       }
       if (complete) report.figures.push_back(std::move(fig));
     }

@@ -1,7 +1,8 @@
-// The experiment registry: one function per figure of the paper,
-// returning the figure's series with the paper's parameters. Bench
-// binaries, tests, and EXPERIMENTS.md all consume these, so the
-// configuration of each reproduction lives in exactly one place.
+// The experiment registry for the closed-form and trace figures of the
+// paper, plus the knobs every experiment shares. The simulated figures
+// are defined once, as scenarios of the campaign catalogue
+// (campaign::builtin_scenarios); the closed-form ones are reached from
+// there through analytical_figure.
 //
 // Paper-to-code index (see DESIGN.md §4 for the full table):
 //   Fig. 1(a)/(b) — star-graph rate limiting, analytical + simulated
@@ -15,18 +16,20 @@
 //   Fig. 9(a)/(b) — trace contact-rate CDFs
 //   Fig. 10       — practical rate limits fed back into the models
 //   Fig. 11       — dynamic quarantine vs static defenses (extension)
+// Simulated panels (1b, 4, 5, 6, 8a, 8b, 11) are scenarios fig01,
+// fig04, fig05, fig06, fig08 and fig11 in campaign/scenarios.cpp.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "core/figure.hpp"
-#include "quarantine/engine.hpp"
 #include "trace/department.hpp"
 
 namespace dq::core {
 
-/// Knobs shared by the simulated experiments. `quick()` shrinks runs
+/// Knobs shared by the experiments: the campaign catalogue's run count
+/// and seed, and the synthetic trace's length. `quick()` shrinks runs
 /// and trace duration for use inside unit tests.
 struct ExperimentOptions {
   std::size_t sim_runs = 10;        ///< the paper averages 10 runs
@@ -49,7 +52,6 @@ FigureData analytical_figure(const std::string& id);
 
 // --- Section 4: star topology ---
 FigureData fig1a_star_analytical();
-FigureData fig1b_star_simulated(const ExperimentOptions& options);
 
 // --- Section 5.1: host-based deployment ---
 FigureData fig2_host_analytical();
@@ -58,18 +60,9 @@ FigureData fig2_host_analytical();
 FigureData fig3a_edge_across_subnets();
 FigureData fig3b_edge_within_subnet();
 
-// --- Section 5.4: power-law simulations ---
-FigureData fig4_powerlaw_simulated(const ExperimentOptions& options);
-FigureData fig5_edge_localpref_simulated(const ExperimentOptions& options);
-FigureData fig6_localpref_backbone_simulated(
-    const ExperimentOptions& options);
-
 // --- Section 6: dynamic immunization ---
 FigureData fig7a_immunization_analytical();
 FigureData fig7b_immunization_ratelimited_analytical();
-FigureData fig8a_immunization_simulated(const ExperimentOptions& options);
-FigureData fig8b_immunization_ratelimited_simulated(
-    const ExperimentOptions& options);
 
 // --- Section 7: trace study ---
 /// Builds the synthetic department trace used by the fig9/table
@@ -80,19 +73,6 @@ trace::Trace make_department_trace(const ExperimentOptions& options);
 FigureData fig9a_normal_client_cdf(const trace::Trace& trace);
 FigureData fig9b_worm_host_cdf(const trace::Trace& trace);
 FigureData fig10_trace_rates_analytical();
-
-// --- Dynamic quarantine (the paper's namesake defense) ---
-/// Dynamic quarantine vs the static baselines on the power-law
-/// topology, under a sparse address space (most scans miss — the
-/// failed-connection signal the detectors key on) with legitimate
-/// background traffic so collateral damage is measurable. Series:
-/// no-defense, 100% host rate limiting, blacklisting, and dynamic
-/// quarantine. When `cost` is non-null it receives the quarantine
-/// run's averaged report (detection latency, FP rate, benign
-/// quarantine ticks).
-FigureData fig11_dynamic_quarantine_simulated(
-    const ExperimentOptions& options,
-    quarantine::QuarantineReport* cost = nullptr);
 
 /// The quantitative Section 7 findings (category census, 99.9% rate
 /// limits under each refinement, window-size study, worm peak scan

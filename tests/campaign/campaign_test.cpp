@@ -1,8 +1,8 @@
 // Campaign engine tests: canonical JSON, content hashing, the artifact
-// cache, the work-stealing pool, DAG scheduling, and the headline
-// determinism matrix — artifacts must be byte-identical across
-// --jobs 1 / --jobs 8 / cold-vs-warm cache, with a warm rerun
-// reporting every job as a cache hit.
+// cache, the work-stealing pool, job scheduling, scenario checks and
+// the derived stage, and the headline determinism matrix — artifacts
+// must be byte-identical across --jobs 1 / --jobs 8 / cold-vs-warm
+// cache, with a warm rerun reporting every job as a cache hit.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -61,7 +61,7 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
 }
 
-// --- hashing and seeds ---
+// --- hashing ---
 
 JobConfig small_sim_job(double contact_rate = 0.8) {
   JobConfig job;
@@ -100,15 +100,6 @@ TEST(JobHash, AnyFieldEditMovesTheHash) {
   j.sim.quarantine.enabled = true;
   hashes.insert(job_hash(j));
   EXPECT_EQ(hashes.size(), 6u) << "a config edit failed to move the hash";
-}
-
-TEST(JobHash, SubstreamSeedDecorrelatesNeighbouringHashes) {
-  // SplitMix64 finalizer: consecutive inputs must not yield
-  // consecutive outputs.
-  const std::uint64_t a = substream_seed(1);
-  const std::uint64_t b = substream_seed(2);
-  EXPECT_NE(a + 1, b);
-  EXPECT_NE(a, b);
 }
 
 // --- artifact cache ---
@@ -150,44 +141,56 @@ TEST(Pool, RunsEveryTaskIncludingNestedSubmissions) {
   EXPECT_EQ(counter.load(), 129);
 }
 
-// --- DAG scheduling ---
+// --- scheduling ---
 
-TEST(CampaignDag, RejectsForwardAndSelfDependencies) {
+TEST(Campaign, RejectsDuplicateJobNames) {
   Campaign campaign;
   JobConfig fig;
   fig.kind = JobConfig::Kind::kAnalyticalFigure;
   fig.figure_id = "fig2";
-  const std::size_t first = campaign.add_job("a", fig);
-  EXPECT_THROW(campaign.add_job("b", fig, {5}), std::invalid_argument);
+  EXPECT_EQ(campaign.add_job("a", fig), 0u);
+  EXPECT_EQ(campaign.add_job("b", fig), 1u);
   EXPECT_THROW(campaign.add_job("a", fig), std::invalid_argument);
-  EXPECT_EQ(first, 0u);
 }
 
-TEST(CampaignDag, DependentsRunAfterDependenciesAndFailuresCascade) {
+TEST(Campaign, FailureStaysWithItsJob) {
   Campaign campaign;
   JobConfig good;
   good.kind = JobConfig::Kind::kAnalyticalFigure;
   good.figure_id = "fig2";
   JobConfig bad = good;
   bad.figure_id = "not-a-figure";
-
-  const std::size_t a = campaign.add_job("good", good);
-  const std::size_t b = campaign.add_job("bad", bad, {a});
-  const std::size_t c = campaign.add_job("downstream", good, {b});
+  campaign.add_job("good", good);
+  campaign.add_job("bad", bad);
+  campaign.add_job("after", good);
 
   RunOptions options;
   options.jobs = 4;
   options.use_cache = false;
   const std::vector<JobOutcome> outcomes = campaign.run(options);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_TRUE(outcomes[0].ok());
+  EXPECT_FALSE(outcomes[1].ok());
+  EXPECT_NE(outcomes[1].error.find("not-a-figure"), std::string::npos);
+  EXPECT_TRUE(outcomes[2].ok());
+  EXPECT_TRUE(outcomes[2].figure.has_value());
 
-  EXPECT_TRUE(outcomes[a].ok());
-  EXPECT_TRUE(outcomes[a].figure.has_value());
-  EXPECT_FALSE(outcomes[b].ok());
-  EXPECT_NE(outcomes[b].error.find("not-a-figure"), std::string::npos);
-  EXPECT_FALSE(outcomes[c].ok());
-  EXPECT_NE(outcomes[c].error.find("dependency failed"), std::string::npos)
-      << outcomes[c].error;
-  EXPECT_EQ(outcomes[c].name, "downstream");
+  // A later run over a suffix executes only those jobs.
+  const std::vector<JobOutcome> tail = campaign.run(options, 2);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].name, "after");
+}
+
+TEST(Campaign, SimulationJobRunsOnItsConfigSeed) {
+  RunOptions options;
+  options.use_cache = false;
+  const JobConfig job = small_sim_job();
+  const JobOutcome outcome = execute_job("seeded", job, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.error;
+  const sim::AveragedResult direct =
+      sim::run_many(build_network(job.topology), job.sim, job.runs, 1);
+  EXPECT_EQ(averaged_result_to_json(*outcome.sim_result).dump(),
+            averaged_result_to_json(direct).dump());
 }
 
 // --- result round trips ---
@@ -322,6 +325,110 @@ TEST(Scenarios, BuiltinCatalogueExpandsAndDedups) {
       EXPECT_TRUE(hashes.insert(job_hash(job.config)).second)
           << scenario.name << "/" << job.name;
   }
+}
+
+TEST(Scenarios, CatalogueReferencesCheckWithoutRunning) {
+  const std::vector<ScenarioDef> catalogue =
+      builtin_scenarios(core::ExperimentOptions::quick());
+  EXPECT_NO_THROW(check_scenarios(catalogue));
+
+  // Every simulated figure of the paper is defined once, in the
+  // catalogue; only the trace figures fig9a/fig9b live elsewhere.
+  std::set<std::string> ids;
+  for (const ScenarioDef& scenario : catalogue)
+    for (const ScenarioFigure& fig : scenario.figures) ids.insert(fig.id);
+  for (const char* id : {"fig1a", "fig1b", "fig2", "fig3a", "fig3b", "fig4",
+                         "fig5", "fig6", "fig7a", "fig7b", "fig8a", "fig8b",
+                         "fig10", "fig11"})
+    EXPECT_TRUE(ids.contains(id)) << id;
+
+  // A figure id defined twice across the selection.
+  std::vector<ScenarioDef> twice = catalogue;
+  twice.push_back(*find_scenario(catalogue, "fig04"));
+  EXPECT_THROW(check_scenarios(twice), std::invalid_argument);
+
+  // A dangling series reference fails run_scenarios before any job is
+  // queued.
+  ScenarioDef broken = *find_scenario(catalogue, "fig04");
+  broken.figures[0].series.push_back({"ghost", "no-such-job"});
+  std::atomic<int> events{0};
+  RunOptions options;
+  options.use_cache = false;
+  options.on_job_event = [&](const JobEvent&) { ++events; };
+  EXPECT_THROW(run_scenarios({broken}, options), std::invalid_argument);
+  EXPECT_EQ(events.load(), 0);
+
+  ScenarioDef bad_reference = *find_scenario(catalogue, "fig08");
+  bad_reference.derived->reference_job = "no-such-job";
+  EXPECT_THROW(check_scenarios({bad_reference}), std::invalid_argument);
+  ScenarioDef bad_target = *find_scenario(catalogue, "fig08");
+  bad_target.derived->figure = "fig99";
+  EXPECT_THROW(check_scenarios({bad_target}), std::invalid_argument);
+}
+
+TEST(Scenarios, DerivedStageReadsItsReferenceResult) {
+  // The derived stage sees the reference job's averaged result and
+  // adds a job (a shorter horizon) that exists only after the first
+  // stage has run.
+  ScenarioDef s;
+  s.name = "staged";
+  s.jobs.push_back({"reference", small_sim_job()});
+  s.figures.push_back({"staged-fig", "t", "x", "y", "",
+                       {{"reference", "reference"}}});
+  double seen_final = -1.0;
+  s.derived = ScenarioDerivation{
+      "reference", "staged-fig",
+      [&](const sim::AveragedResult& reference) {
+        seen_final = reference.ever_infected.back_value();
+        JobConfig job = small_sim_job();
+        job.sim.max_ticks = 5.0;
+        ScenarioDerivation::Stage stage;
+        stage.jobs.push_back({"derived", job});
+        stage.series.push_back({"derived", "derived"});
+        return stage;
+      }};
+
+  RunOptions options;
+  options.use_cache = false;
+  const CampaignReport report = run_scenarios({s}, options);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_EQ(report.outcomes[0].name, "staged/reference");
+  EXPECT_EQ(report.outcomes[1].name, "staged/derived");
+  EXPECT_TRUE(report.outcomes[1].ok()) << report.outcomes[1].error;
+  EXPECT_EQ(seen_final,
+            report.outcomes[0].sim_result->ever_infected.back_value());
+  // One manifest covers both stages.
+  EXPECT_EQ(report.manifest.at("jobs_total").as_uint(), 2u);
+  ASSERT_EQ(report.figures.size(), 1u);
+  ASSERT_EQ(report.figures[0].series.size(), 2u);
+  EXPECT_EQ(report.figures[0].series[1].label, "derived");
+  EXPECT_EQ(report.outcomes[1].config.sim.max_ticks, 5.0);
+}
+
+TEST(Scenarios, FailedReferenceDropsTheDerivedFigure) {
+  ScenarioDef s;
+  s.name = "staged";
+  JobConfig broken = small_sim_job();
+  broken.topology.nodes = 1;  // build_network rejects a 1-node star
+  s.jobs.push_back({"reference", broken});
+  s.jobs.push_back({"other", small_sim_job()});
+  s.figures.push_back({"kept", "t", "x", "y", "", {{"other", "other"}}});
+  s.figures.push_back({"staged-fig", "t", "x", "y", "", {}});
+  bool expanded = false;
+  s.derived = ScenarioDerivation{
+      "reference", "staged-fig", [&](const sim::AveragedResult&) {
+        expanded = true;
+        return ScenarioDerivation::Stage{};
+      }};
+
+  RunOptions options;
+  options.use_cache = false;
+  const CampaignReport report = run_scenarios({s}, options);
+  EXPECT_FALSE(expanded);
+  ASSERT_EQ(report.outcomes.size(), 2u);
+  EXPECT_FALSE(report.outcomes[0].ok());
+  ASSERT_EQ(report.figures.size(), 1u);
+  EXPECT_EQ(report.figures[0].id, "kept");
 }
 
 // --- observability through the campaign engine ---

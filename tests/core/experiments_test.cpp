@@ -1,17 +1,103 @@
-// Integration checks over the experiment registry: every figure builds,
-// has the right series, and reproduces the paper's qualitative claims.
-// Simulated figures run with ExperimentOptions::quick().
+// Integration checks over the experiment registry and the campaign
+// catalogue: every figure builds, has the right series, and reproduces
+// the paper's qualitative claims. Simulated figures come from their
+// catalogue scenario run with ExperimentOptions::quick(), and each is
+// byte-compared, as CSV, against its fixture under
+// tests/data/golden/figures.
+//
+// Regenerating the figure fixtures after an INTENDED behaviour change:
+//
+//   ./build/tests/dq_experiments_test --update-golden
+//
+// rewrites tests/data/golden/figures/*.csv in place; commit the diff
+// alongside the change that caused it. A missing fixture fails the
+// test rather than auto-creating.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
+
+#include "campaign/scenarios.hpp"
 #include "core/experiments.hpp"
 
 namespace dq::core {
 namespace {
 
+bool g_update_golden = false;
+
 const ExperimentOptions& quick() {
   static const ExperimentOptions options = ExperimentOptions::quick();
   return options;
 }
+
+/// Simulated figure `id` from the quick catalogue. Each scenario runs
+/// once per process, without the cache.
+const FigureData& simulated(const std::string& id) {
+  static const std::vector<campaign::ScenarioDef> catalogue =
+      campaign::builtin_scenarios(quick());
+  static std::map<std::string, campaign::CampaignReport> reports;
+  for (const campaign::ScenarioDef& scenario : catalogue) {
+    for (const campaign::ScenarioFigure& spec : scenario.figures) {
+      if (spec.id != id) continue;
+      auto it = reports.find(scenario.name);
+      if (it == reports.end()) {
+        campaign::RunOptions options;
+        options.use_cache = false;
+        it = reports
+                 .emplace(scenario.name,
+                          campaign::run_scenarios({scenario}, options))
+                 .first;
+      }
+      for (const FigureData& fig : it->second.figures)
+        if (fig.id == id) return fig;
+      throw std::runtime_error("scenario " + scenario.name +
+                               " did not build " + id);
+    }
+  }
+  throw std::logic_error("no catalogue scenario defines " + id);
+}
+
+std::optional<std::string> read_file(const std::filesystem::path& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+void check_golden(const std::string& id) {
+  const std::string fresh = render_csv(simulated(id));
+  const std::filesystem::path path =
+      std::filesystem::path(DQ_GOLDEN_DIR) / "figures" / (id + ".csv");
+  if (g_update_golden) {
+    std::filesystem::create_directories(path.parent_path());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << fresh;
+    return;
+  }
+  const std::optional<std::string> golden = read_file(path);
+  ASSERT_TRUE(golden.has_value())
+      << path << " is missing — run dq_experiments_test --update-golden "
+      << "and commit the fixture";
+  EXPECT_EQ(fresh, *golden)
+      << id << " diverged from its fixture. If the behaviour change is "
+      << "intended, regenerate with dq_experiments_test --update-golden "
+      << "and commit the diff.";
+}
+
+TEST(FigureGolden, Fig1b) { check_golden("fig1b"); }
+TEST(FigureGolden, Fig4) { check_golden("fig4"); }
+TEST(FigureGolden, Fig5) { check_golden("fig5"); }
+TEST(FigureGolden, Fig6) { check_golden("fig6"); }
+TEST(FigureGolden, Fig8a) { check_golden("fig8a"); }
+TEST(FigureGolden, Fig8b) { check_golden("fig8b"); }
+TEST(FigureGolden, Fig11) { check_golden("fig11"); }
 
 TEST(Experiments, Fig1aHubBeatsLeafDeployment) {
   const FigureData fig = fig1a_star_analytical();
@@ -25,7 +111,7 @@ TEST(Experiments, Fig1aHubBeatsLeafDeployment) {
 }
 
 TEST(Experiments, Fig1bSimulationAgreesDirectionally) {
-  const FigureData fig = fig1b_star_simulated(quick());
+  const FigureData& fig = simulated("fig1b");
   const double t_none = fig.find("no-RL").time_to_reach(0.6);
   const double t_leaf = fig.find("30%-leaf-RL").time_to_reach(0.6);
   const double t_hub = fig.find("hub-RL").time_to_reach(0.6);
@@ -58,7 +144,7 @@ TEST(Experiments, Fig3EdgeRouterClaims) {
 }
 
 TEST(Experiments, Fig4BackboneWinsBigger) {
-  const FigureData fig = fig4_powerlaw_simulated(quick());
+  const FigureData& fig = simulated("fig4");
   const double t_none = fig.find("no-RL").time_to_reach(0.5);
   const double t_host = fig.find("5%-host-RL").time_to_reach(0.5);
   const double t_edge = fig.find("edge-RL").time_to_reach(0.5);
@@ -72,7 +158,7 @@ TEST(Experiments, Fig4BackboneWinsBigger) {
 }
 
 TEST(Experiments, Fig5EdgeVsLocalPreferential) {
-  const FigureData fig = fig5_edge_localpref_simulated(quick());
+  const FigureData& fig = simulated("fig5");
   const double t_r0 = fig.find("no-RL-random").time_to_reach(0.5);
   // A rate-limited curve that never crosses 50% inside the horizon is
   // the strongest possible slowdown — clamp to the horizon instead of
@@ -89,7 +175,7 @@ TEST(Experiments, Fig5EdgeVsLocalPreferential) {
 }
 
 TEST(Experiments, Fig6BackboneContainsLocalPref) {
-  const FigureData fig = fig6_localpref_backbone_simulated(quick());
+  const FigureData& fig = simulated("fig6");
   const double t_none = fig.find("no-RL-localpref").time_to_reach(0.5);
   const double t_host5 = fig.find("5%-host-RL").time_to_reach(0.5);
   const double t_backbone = fig.find("backbone-RL").time_to_reach(0.5);
@@ -123,12 +209,12 @@ TEST(Experiments, Fig7ImmunizationOrdering) {
 }
 
 TEST(Experiments, Fig8EverInfectedNumbers) {
-  const FigureData a = fig8a_immunization_simulated(quick());
+  const FigureData& a = simulated("fig8a");
   EXPECT_NEAR(a.find("immunize-at-20%").back_value(), 0.80, 0.10);
   EXPECT_NEAR(a.find("immunize-at-50%").back_value(), 0.90, 0.07);
   EXPECT_NEAR(a.find("immunize-at-80%").back_value(), 0.98, 0.05);
 
-  const FigureData b = fig8b_immunization_ratelimited_simulated(quick());
+  const FigureData& b = simulated("fig8b");
   // Rate limiting lowers the 20%-trigger total vs Figure 8(a).
   double b20 = -1.0;
   for (const NamedSeries& s : b.series)
@@ -177,3 +263,16 @@ TEST(Experiments, TraceStudyReportMentionsKeyFindings) {
 
 }  // namespace
 }  // namespace dq::core
+
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--update-golden") == 0) {
+      dq::core::g_update_golden = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+      break;
+    }
+  }
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

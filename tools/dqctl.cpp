@@ -19,6 +19,8 @@
 //                                latency-percentile tables
 //
 // Run any subcommand with --help for its options.
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -100,6 +102,22 @@ class Args {
   double num(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::stod(it->second);
+  }
+  /// Integer flag (counts, sizes, seeds, intervals): anything but plain
+  /// decimal digits — a sign, a fraction, trailing text — or a value
+  /// below `min` or beyond T's range is a usage error.
+  template <typename T>
+  T count(const std::string& key, T fallback, T min = 0) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc() || end != text.data() + text.size() || value < min)
+      throw UsageError("--" + key + " needs an integer >= " +
+                       std::to_string(min) + ", got '" + text + "'");
+    return value;
   }
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -202,7 +220,7 @@ core::Scenario scenario_from(const Args& args) {
     s.topology.kind = core::ScenarioTopology::Kind::kEdgeList;
     s.topology.edge_list_path = args.str("topology-file", "");
   }
-  s.topology.nodes = static_cast<std::size_t>(args.num("nodes", 1000));
+  s.topology.nodes = args.count<std::size_t>("nodes", 1000);
   s.worm.contact_rate = args.num("beta", 0.8);
 
   const std::string worm = args.str("worm", "random");
@@ -232,7 +250,7 @@ core::Scenario scenario_from(const Args& args) {
     s.defense.immunization_rate = args.num("mu", 0.1);
   }
   s.horizon = args.num("horizon", 100.0);
-  s.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
+  s.seed = args.count<std::uint64_t>("seed", 42);
   return s;
 }
 
@@ -244,8 +262,7 @@ int cmd_scenario(const Args& args) {
   const core::PropagationResult result =
       args.flag("analytical")
           ? core::run_analytical(s)
-          : core::run_simulation(
-                s, static_cast<std::size_t>(args.num("runs", 10.0)));
+          : core::run_simulation(s, args.count<std::size_t>("runs", 10, 1));
   std::cout << "time,ever_infected,active_infected\n";
   for (std::size_t i = 0; i < result.ever_infected.size(); ++i)
     std::cout << result.ever_infected.time_at(i) << ','
@@ -259,11 +276,11 @@ int cmd_scenario(const Args& args) {
 
 trace::DepartmentConfig department_from(const Args& args) {
   trace::DepartmentConfig config;
-  config.normal_clients = static_cast<std::size_t>(args.num("normal", 999));
-  config.servers = static_cast<std::size_t>(args.num("servers", 17));
-  config.p2p_clients = static_cast<std::size_t>(args.num("p2p", 33));
-  config.blaster_hosts = static_cast<std::size_t>(args.num("blaster", 40));
-  config.welchia_hosts = static_cast<std::size_t>(args.num("welchia", 39));
+  config.normal_clients = args.count<std::size_t>("normal", 999);
+  config.servers = args.count<std::size_t>("servers", 17);
+  config.p2p_clients = args.count<std::size_t>("p2p", 33);
+  config.blaster_hosts = args.count<std::size_t>("blaster", 40);
+  config.welchia_hosts = args.count<std::size_t>("welchia", 39);
   config.duration = args.num("duration", 3600.0);
   return config;
 }
@@ -273,7 +290,7 @@ int cmd_trace(const Args& args) {
                    "blaster", "welchia"});
   const trace::DepartmentConfig config = department_from(args);
   const trace::Trace department = trace::generate_department_trace(
-      config, static_cast<std::uint64_t>(args.num("seed", 42.0)));
+      config, args.count<std::uint64_t>("seed", 42));
   const std::string out = args.str("out", "");
   if (out.empty()) {
     std::cout << department.to_csv();
@@ -401,9 +418,8 @@ quarantine::QuarantineConfig quarantine_config_from(const Args& args) {
   // means a genuinely unanswered scan.
   config.detector.failure_ratio_threshold = args.num("failure-ratio", 0.9);
   config.detector.failure_min_attempts =
-      static_cast<std::uint32_t>(args.num("min-attempts", 10.0));
-  config.policy.strikes_to_quarantine =
-      static_cast<std::uint32_t>(args.num("strikes", 1.0));
+      args.count<std::uint32_t>("min-attempts", 10);
+  config.policy.strikes_to_quarantine = args.count<std::uint32_t>("strikes", 1);
   config.policy.base_period = args.num("base-period", 300.0);
   config.policy.escalation = args.num("escalation", 4.0);
   config.policy.max_period = args.num("max-period", 3600.0);
@@ -415,12 +431,9 @@ quarantine::QuarantineConfig quarantine_config_from(const Args& args) {
     config.estimator_backend = quarantine::EstimatorBackend::kSharedBitmap;
   else if (estimator != "exact")
     throw UsageError("--estimator must be exact or shared_bitmap");
-  config.compact.block_hosts =
-      static_cast<std::uint32_t>(args.num("block-hosts", 256.0));
-  config.compact.pool_bits_per_host =
-      static_cast<std::uint32_t>(args.num("pool-bits", 6.0));
-  config.compact.virtual_bits =
-      static_cast<std::uint32_t>(args.num("virtual-bits", 64.0));
+  config.compact.block_hosts = args.count<std::uint32_t>("block-hosts", 256);
+  config.compact.pool_bits_per_host = args.count<std::uint32_t>("pool-bits", 6);
+  config.compact.virtual_bits = args.count<std::uint32_t>("virtual-bits", 64);
   return config;
 }
 
@@ -449,7 +462,7 @@ int cmd_quarantine(const Args& args) {
   // Load a trace CSV when given, else synthesize the department trace;
   // either way the census flags define the per-category ground truth.
   const trace::DepartmentConfig census = department_from(args);
-  const auto seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
+  const auto seed = args.count<std::uint64_t>("seed", 42);
   trace::Trace t;
   if (!args.positional().empty()) {
     t = load_trace(args.positional()[0]);
@@ -517,20 +530,18 @@ int cmd_serve(const Args& args) {
     throw UsageError("serve: --trace and --synthetic are exclusive");
 
   serve::ServeOptions options;
-  options.shards = static_cast<std::size_t>(args.num("shards", 1.0));
+  options.shards = args.count<std::size_t>("shards", 1);
   options.quarantine = quarantine_config_from(args);
-  options.queue_capacity =
-      static_cast<std::size_t>(args.num("queue-capacity", 4096.0));
+  options.queue_capacity = args.count<std::size_t>("queue-capacity", 4096);
   options.emit_decisions = !args.flag("no-decisions");
   options.metrics_interval_flows =
-      static_cast<std::uint64_t>(args.num("metrics-interval", 0.0));
+      args.count<std::uint64_t>("metrics-interval", 0);
   options.metrics_interval_ms =
-      static_cast<std::uint64_t>(args.num("metrics-interval-ms", 0.0));
+      args.count<std::uint64_t>("metrics-interval-ms", 0);
   options.prom_path = args.str("prom-out", "");
   options.metrics_addr = args.str("metrics-addr", "");
   options.slo_ms = args.num("slo-ms", 0.0);
-  options.stop_after_flows =
-      static_cast<std::uint64_t>(args.num("stop-after", 0.0));
+  options.stop_after_flows = args.count<std::uint64_t>("stop-after", 0);
   // Profiling is process-local: the profiler outlives the server and is
   // rendered after run() returns (Chrome trace file + stderr table).
   std::unique_ptr<obs::Profiler> profiler;
@@ -550,7 +561,7 @@ int cmd_serve(const Args& args) {
   options.stall_timeout_seconds = args.num("stall-timeout", 0.0);
   options.checkpoint_path = args.str("checkpoint-out", "");
   options.checkpoint_interval_flows =
-      static_cast<std::uint64_t>(args.num("checkpoint-interval", 0.0));
+      args.count<std::uint64_t>("checkpoint-interval", 0);
 
   // Fault injection: --inject wins over the DQ_FAILPOINTS environment
   // variable; either way the spec is validated before the run starts.
@@ -590,10 +601,10 @@ int cmd_serve(const Args& args) {
     source = std::make_unique<serve::TraceFlowSource>(
         t, args.num("speed", 0.0));
   } else if (synthetic_mode) {
-    synth.flows = static_cast<std::uint64_t>(args.num("flows", 1e6));
-    synth.hosts = static_cast<std::uint32_t>(args.num("hosts", 65536.0));
+    synth.flows = args.count<std::uint64_t>("flows", 1000000);
+    synth.hosts = args.count<std::uint32_t>("hosts", 65536);
     synth.worm_fraction = args.num("worm-fraction", 0.01);
-    synth.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
+    synth.seed = args.count<std::uint64_t>("seed", 42);
     if (restore != nullptr) {
       if (args.flag("hosts") && synth.hosts != restore->num_hosts)
         throw std::invalid_argument(
@@ -606,7 +617,7 @@ int cmd_serve(const Args& args) {
     options.num_hosts = synth.hosts;
     source = std::make_unique<serve::SyntheticFlowSource>(synth);
   } else {
-    options.num_hosts = static_cast<std::uint32_t>(args.num("hosts", 65536.0));
+    options.num_hosts = args.count<std::uint32_t>("hosts", 65536);
     if (restore != nullptr) {
       if (args.flag("hosts") && options.num_hosts != restore->num_hosts)
         throw std::invalid_argument(
@@ -696,6 +707,9 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
+/// `dqctl figure ID`: the figure from the catalogue scenario that
+/// defines it, run without the cache. The trace figures fig9a/fig9b
+/// are not campaign jobs and come straight from core.
 int cmd_figure(const Args& args) {
   args.allow_only({"csv", "quick"});
   if (args.positional().empty()) return usage();
@@ -705,32 +719,37 @@ int cmd_figure(const Args& args) {
                          : core::ExperimentOptions{};
 
   std::optional<core::FigureData> fig;
-  if (id == "fig1a") fig = core::fig1a_star_analytical();
-  else if (id == "fig1b") fig = core::fig1b_star_simulated(options);
-  else if (id == "fig2") fig = core::fig2_host_analytical();
-  else if (id == "fig3a") fig = core::fig3a_edge_across_subnets();
-  else if (id == "fig3b") fig = core::fig3b_edge_within_subnet();
-  else if (id == "fig4") fig = core::fig4_powerlaw_simulated(options);
-  else if (id == "fig5") fig = core::fig5_edge_localpref_simulated(options);
-  else if (id == "fig6")
-    fig = core::fig6_localpref_backbone_simulated(options);
-  else if (id == "fig7a") fig = core::fig7a_immunization_analytical();
-  else if (id == "fig7b")
-    fig = core::fig7b_immunization_ratelimited_analytical();
-  else if (id == "fig8a") fig = core::fig8a_immunization_simulated(options);
-  else if (id == "fig8b")
-    fig = core::fig8b_immunization_ratelimited_simulated(options);
-  else if (id == "fig9a" || id == "fig9b") {
+  if (id == "fig9a" || id == "fig9b") {
     const trace::Trace department = core::make_department_trace(options);
     fig = id == "fig9a" ? core::fig9a_normal_client_cdf(department)
                         : core::fig9b_worm_host_cdf(department);
-  } else if (id == "fig10") {
-    fig = core::fig10_trace_rates_analytical();
-  } else if (id == "fig11") {
-    fig = core::fig11_dynamic_quarantine_simulated(options);
   } else {
-    std::cerr << "unknown figure id: " << id << '\n';
-    return usage();
+    const std::vector<campaign::ScenarioDef> catalogue =
+        campaign::builtin_scenarios(options);
+    const auto scenario = std::find_if(
+        catalogue.begin(), catalogue.end(),
+        [&](const campaign::ScenarioDef& s) {
+          return std::any_of(
+              s.figures.begin(), s.figures.end(),
+              [&](const campaign::ScenarioFigure& f) { return f.id == id; });
+        });
+    if (scenario == catalogue.end()) {
+      std::cerr << "unknown figure id: " << id << '\n';
+      return usage();
+    }
+    campaign::RunOptions run_options;
+    run_options.use_cache = false;
+    const campaign::CampaignReport report =
+        campaign::run_scenarios({*scenario}, run_options);
+    for (const core::FigureData& built : report.figures)
+      if (built.id == id) fig = built;
+    if (!fig) {
+      for (const campaign::JobOutcome& outcome : report.outcomes)
+        if (!outcome.ok())
+          std::cerr << "dqctl: " << outcome.name << ": " << outcome.error
+                    << '\n';
+      return 1;
+    }
   }
 
   std::cout << (args.flag("csv") ? core::render_csv(*fig)
@@ -992,14 +1011,14 @@ int cmd_campaign(const Args& args) {
                                         ? core::ExperimentOptions::quick()
                                         : core::ExperimentOptions{};
   if (args.flag("runs"))
-    options.sim_runs = static_cast<std::size_t>(args.num("runs", 10.0));
+    options.sim_runs = args.count<std::size_t>("runs", 10, 1);
   if (args.flag("seed"))
-    options.seed = static_cast<std::uint64_t>(args.num("seed", 42.0));
+    options.seed = args.count<std::uint64_t>("seed", 42);
   const std::vector<campaign::ScenarioDef> catalogue =
       campaign::builtin_scenarios(options);
 
   campaign::RunOptions run_options;
-  run_options.jobs = static_cast<std::size_t>(args.num("jobs", 0.0));
+  run_options.jobs = args.count<std::size_t>("jobs", 0);
   run_options.use_cache = !args.flag("no-cache");
   run_options.cache_dir = args.str("cache-dir", ".dq-cache");
   run_options.trace_dir = args.str("trace-dir", "");
