@@ -73,7 +73,10 @@ RoleAssignment assign_roles_by_transit(const Graph& g,
                                        double backbone_fraction,
                                        double edge_fraction) {
   validate_fractions(g, backbone_fraction, edge_fraction);
-  const std::vector<std::uint64_t> loads = routing.node_transit_loads();
+  if (routing.num_nodes() != g.num_nodes())
+    throw std::invalid_argument(
+        "assign_roles_by_transit: routing table built on another graph");
+  const std::vector<std::uint64_t>& loads = routing.node_transit_loads();
   std::vector<NodeId> order(g.num_nodes());
   for (std::size_t i = 0; i < order.size(); ++i)
     order[i] = static_cast<NodeId>(i);

@@ -38,7 +38,9 @@ class RoutingTable;
 /// many source-destination paths transit them) instead of degree. On
 /// power-law graphs the two mostly agree at the top, but betweenness
 /// also promotes low-degree cut vertices that carry whole regions'
-/// traffic — see bench/ablation_backbone_selection.
+/// traffic — see bench/ablation_backbone_selection. Throws
+/// std::invalid_argument when `routing` was built on a graph of another
+/// size.
 RoleAssignment assign_roles_by_transit(const Graph& g,
                                        const RoutingTable& routing,
                                        double backbone_fraction = 0.05,

@@ -1,7 +1,6 @@
 #include "graph/routing.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -12,38 +11,67 @@ constexpr std::uint32_t kUnreachable =
     std::numeric_limits<std::uint32_t>::max();
 }
 
-RoutingTable::RoutingTable(const Graph& g) : n_(g.num_nodes()) {
+RoutingTable::RoutingTable(const Graph& g, const HopLoad& on_hop)
+    : n_(g.num_nodes()) {
   if (n_ == 0) throw std::invalid_argument("RoutingTable: empty graph");
   dist_.assign(n_ * n_, kUnreachable);
   next_.assign(n_ * n_, 0);
+  transit_.assign(n_, 0);
 
-  // BFS from every source. Neighbors are scanned in ascending id order
-  // so the chosen parent (and hence next hop) is deterministic.
-  std::vector<NodeId> sorted_neighbors;
-  for (NodeId src = 0; src < n_; ++src) {
-    dist_[index(src, src)] = 0;
-    next_[index(src, src)] = src;
-    std::deque<NodeId> queue = {src};
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      sorted_neighbors.assign(g.neighbors(u).begin(), g.neighbors(u).end());
-      std::sort(sorted_neighbors.begin(), sorted_neighbors.end());
-      for (NodeId v : sorted_neighbors) {
-        if (dist_[index(src, v)] != kUnreachable) continue;
-        dist_[index(src, v)] = dist_[index(src, u)] + 1;
-        // First hop out of src toward v: either v itself (if u is src)
-        // or whatever the first hop toward u was.
-        next_[index(src, v)] = (u == src) ? v : next_[index(src, u)];
-        queue.push_back(v);
-      }
-    }
-    for (NodeId v = 0; v < n_; ++v)
-      if (dist_[index(src, v)] == kUnreachable)
-        throw std::invalid_argument("RoutingTable: graph is disconnected");
+  // Adjacency as CSR rows sorted once by neighbor id, so the first
+  // qualifying neighbor in a row is the lowest-id one.
+  std::vector<std::size_t> row(n_ + 1, 0);
+  for (NodeId u = 0; u < n_; ++u) row[u + 1] = row[u] + g.degree(u);
+  std::vector<NodeId> adj(row[n_]);
+  for (NodeId u = 0; u < n_; ++u) {
+    const auto nb = g.neighbors(u);
+    std::copy(nb.begin(), nb.end(), adj.begin() + row[u]);
+    std::sort(adj.begin() + row[u], adj.begin() + row[u + 1]);
   }
 
-  compute_link_loads(g);
+  std::vector<NodeId> order(n_);   // BFS order from the destination
+  std::vector<NodeId> toward(n_);  // each node's next hop toward it
+  std::vector<std::uint64_t> subtree(n_);
+  for (NodeId t = 0; t < n_; ++t) {
+    // Hop distances are symmetric, so the BFS from t fills row t.
+    std::uint32_t* d = dist_.data() + index(t, 0);
+    d[t] = 0;
+    order[0] = t;
+    std::size_t tail = 1;
+    for (std::size_t head = 0; head < tail; ++head) {
+      const NodeId u = order[head];
+      for (std::size_t e = row[u]; e < row[u + 1]; ++e) {
+        const NodeId v = adj[e];
+        if (d[v] != kUnreachable) continue;
+        d[v] = d[u] + 1;
+        order[tail++] = v;
+      }
+    }
+    if (tail != n_)
+      throw std::invalid_argument("RoutingTable: graph is disconnected");
+
+    // The next hop toward t is the lowest-id neighbor one hop closer.
+    next_[index(t, t)] = t;
+    for (std::size_t i = 1; i < n_; ++i) {
+      const NodeId u = order[i];
+      std::size_t e = row[u];
+      while (d[adj[e]] + 1 != d[u]) ++e;
+      toward[u] = adj[e];
+      next_[index(u, t)] = adj[e];
+    }
+
+    // Leaves-first fold over t's in-tree: in decreasing-distance order
+    // every node comes after all the nodes whose next hop it is, so its
+    // subtree size is complete — the number of sources routed through
+    // its hop toward t, itself included.
+    std::fill(subtree.begin(), subtree.end(), 1);
+    for (std::size_t i = n_ - 1; i > 0; --i) {
+      const NodeId u = order[i];
+      transit_[u] += subtree[u] - 1;
+      if (on_hop) on_hop(u, toward[u], subtree[u]);
+      subtree[toward[u]] += subtree[u];
+    }
+  }
 }
 
 std::optional<NodeId> RoutingTable::next_hop(NodeId from, NodeId to) const {
@@ -54,6 +82,7 @@ std::optional<NodeId> RoutingTable::next_hop(NodeId from, NodeId to) const {
 }
 
 std::vector<NodeId> RoutingTable::path(NodeId from, NodeId to) const {
+  if (from >= n_ || to >= n_) throw std::out_of_range("RoutingTable::path");
   std::vector<NodeId> p = {from};
   NodeId cur = from;
   while (cur != to) {
@@ -63,78 +92,13 @@ std::vector<NodeId> RoutingTable::path(NodeId from, NodeId to) const {
   return p;
 }
 
-std::size_t RoutingTable::link_ordinal(const LinkKey& key) const noexcept {
-  if (key.a >= link_row_.size() - 1) return links_.size();
-  // links_ is sorted by (a, b), so each smaller-endpoint row is a
-  // contiguous slice ordered by b.
-  std::size_t lo = link_row_[key.a];
-  std::size_t hi = link_row_[key.a + 1];
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (links_[mid].b < key.b)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  if (lo < link_row_[key.a + 1] && links_[lo].b == key.b) return lo;
-  return links_.size();
-}
-
-void RoutingTable::compute_link_loads(const Graph& g) {
-  links_.clear();
-  for (NodeId a = 0; a < n_; ++a)
-    for (NodeId b : g.neighbors(a))
-      if (a < b) links_.push_back({a, b});
-  std::sort(links_.begin(), links_.end(), [](const LinkKey& x, const LinkKey& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  link_load_.assign(links_.size(), 0);
-  link_row_.assign(n_ + 1, 0);
-  for (const LinkKey& l : links_) ++link_row_[l.a + 1];
-  for (std::size_t a = 0; a < n_; ++a) link_row_[a + 1] += link_row_[a];
-
-  // The per-hop link lookup dominates construction on large graphs
-  // (O(V^2 · path length) hops in total); the row-sliced binary search
-  // beats a hash probe on both locality and speed.
-  for (NodeId src = 0; src < n_; ++src)
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (src == dst) continue;
-      NodeId cur = src;
-      while (cur != dst) {
-        const NodeId nxt = next_[index(cur, dst)];
-        ++link_load_[link_ordinal(make_link_key(cur, nxt))];
-        cur = nxt;
-      }
-    }
-  total_load_ = 0;
-  for (std::uint64_t l : link_load_) total_load_ += l;
-}
-
-std::uint64_t RoutingTable::link_load(const LinkKey& link) const {
-  const std::size_t i = link_ordinal(link);
-  if (i == links_.size())
-    throw std::invalid_argument("RoutingTable::link_load: unknown link");
-  return link_load_[i];
-}
-
-std::vector<std::uint64_t> RoutingTable::node_transit_loads() const {
-  std::vector<std::uint64_t> loads(n_, 0);
-  for (NodeId src = 0; src < n_; ++src)
-    for (NodeId dst = 0; dst < n_; ++dst) {
-      if (src == dst) continue;
-      NodeId cur = next_[index(src, dst)];
-      while (cur != dst) {
-        ++loads[cur];
-        cur = next_[index(cur, dst)];
-      }
-    }
-  return loads;
-}
-
 double RoutingTable::path_coverage(const std::vector<NodeId>& hosts,
                                    const std::vector<char>& via) const {
   if (via.size() != n_)
     throw std::invalid_argument("RoutingTable::path_coverage: via size");
+  for (NodeId h : hosts)
+    if (h >= n_)
+      throw std::out_of_range("RoutingTable::path_coverage: host id");
   std::uint64_t covered = 0, total = 0;
   for (NodeId src : hosts)
     for (NodeId dst : hosts) {

@@ -7,6 +7,8 @@
 #include <map>
 #include <ostream>
 
+#include "campaign/json.hpp"
+
 namespace dq::obs {
 
 std::uint64_t span_clock_ns() noexcept {
@@ -38,34 +40,6 @@ std::uint64_t Profiler::total_dropped() const {
   return n;
 }
 
-namespace {
-
-/// Minimal JSON string escape: the only non-literal text in a trace is
-/// track names (job names can carry '/', never control characters, but
-/// quoting must still be safe).
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void Profiler::write_chrome_trace(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mu_);
   // Normalize timestamps to the earliest span so traces start at ~0 —
@@ -84,18 +58,18 @@ void Profiler::write_chrome_trace(std::ostream& out) const {
     first = false;
     body +=
         "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":" +
-        std::to_string(tid) + ",\"args\":{\"name\":\"";
-    append_json_escaped(body, tracks_[tid]->track());
-    body += "\"}}";
+        std::to_string(tid) + ",\"args\":{\"name\":";
+    body += campaign::JsonValue::str(tracks_[tid]->track()).dump();
+    body += "}}";
   }
   for (std::size_t tid = 0; tid < tracks_.size(); ++tid) {
     for (const SpanRecord& s : tracks_[tid]->spans()) {
       if (!first) body += ',';
       first = false;
-      body += "{\"ph\":\"X\",\"name\":\"";
-      append_json_escaped(body, s.name);
+      body += "{\"ph\":\"X\",\"name\":";
+      body += campaign::JsonValue::str(s.name).dump();
       std::snprintf(buf, sizeof buf,
-                    "\",\"pid\":1,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f}",
+                    ",\"pid\":1,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f}",
                     tid, static_cast<double>(s.start_ns - epoch) * 1e-3,
                     static_cast<double>(s.dur_ns) * 1e-3);
       body += buf;

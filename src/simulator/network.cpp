@@ -14,38 +14,29 @@ bool routing_table_fits(std::size_t n, const NetworkOptions& options) {
   return n == 0 || n <= options.routing_table_bytes / (n * 8);
 }
 
-std::unique_ptr<graph::RoutingTable> maybe_build_routing(
-    const graph::Graph& g, const NetworkOptions& options) {
-  if (!routing_table_fits(g.num_nodes(), options)) return nullptr;
-  return std::make_unique<graph::RoutingTable>(g);
-}
-
 }  // namespace
 
 Network::Network(graph::Graph g, double backbone_fraction,
                  double edge_fraction, NetworkOptions options)
     : graph_(std::move(g)),
       options_(options),
-      routing_(maybe_build_routing(graph_, options_)),
       roles_(graph::assign_roles(graph_, backbone_fraction, edge_fraction)) {
-  index_links();
+  build_routing();
 }
 
 Network::Network(graph::Graph g, graph::RoleAssignment roles,
                  NetworkOptions options)
     : graph_(std::move(g)),
       options_(options),
-      routing_(maybe_build_routing(graph_, options_)),
       roles_(std::move(roles)) {
   if (roles_.role.size() != graph_.num_nodes())
     throw std::invalid_argument("Network: role assignment size mismatch");
-  index_links();
+  build_routing();
 }
 
 Network::Network(graph::SubnetTopology topo, NetworkOptions options)
     : graph_(std::move(topo.graph)),
-      options_(options),
-      routing_(maybe_build_routing(graph_, options_)) {
+      options_(options) {
   // Gateways are the edge routers; everything else is a host. The
   // backbone role is attached to the gateways' interconnect links via
   // link_touches_role on kEdgeRouter, so no separate backbone nodes.
@@ -59,7 +50,7 @@ Network::Network(graph::SubnetTopology topo, NetworkOptions options)
 
   subnet_of_ = std::move(topo.subnet_of);
   subnet_members_ = std::move(topo.members);
-  index_links();
+  build_routing();
 }
 
 const graph::RoutingTable& Network::routing() const {
@@ -71,7 +62,7 @@ const graph::RoutingTable& Network::routing() const {
   return *routing_;
 }
 
-void Network::index_links() {
+void Network::build_routing() {
   const std::size_t n = graph_.num_nodes();
   links_.clear();
   for (NodeId a = 0; a < n; ++a)
@@ -103,17 +94,19 @@ void Network::index_links() {
               });
 
   link_loads_.assign(links_.size(), 0);
-  if (routing_ == nullptr) build_tree_routing();
+  if (routing_table_fits(n, options_)) {
+    // The table's fold hands over every routed hop with the number of
+    // ordered pairs taking it; the CSR rows map the hop to its link.
+    routing_ = std::make_unique<graph::RoutingTable>(
+        graph_, [this](NodeId from, NodeId next, std::uint64_t pairs) {
+          link_loads_[adj_link(from, next)] += pairs;
+        });
+  } else {
+    build_tree_routing();
+  }
 
   std::uint64_t total = 0;
-  if (routing_ != nullptr) {
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      link_loads_[i] = routing_->link_load(links_[i]);
-      total += link_loads_[i];
-    }
-  } else {
-    for (std::uint64_t load : link_loads_) total += load;  // tree loads
-  }
+  for (std::uint64_t load : link_loads_) total += load;
   total_link_load_ = total;
   mean_link_load_ =
       links_.empty() ? 0.0

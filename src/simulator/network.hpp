@@ -95,7 +95,7 @@ class Network {
 
   /// Next hop and traversed link from `at` toward `dest` in a single
   /// lookup — the simulator's per-hop fast path. On networks small
-  /// enough for the dense table (see index_links) this is one array
+  /// enough for the dense table (see build_routing) this is one array
   /// read; with the all-pairs table it is a next-hop read plus a
   /// binary search over the node's adjacency row; on tree-routed
   /// networks it is an Euler-interval test plus a child binary search.
@@ -170,7 +170,9 @@ class Network {
     std::uint32_t link;
   };
 
-  void index_links();
+  /// Numbers the links, builds the CSR rows, then the routing backend
+  /// with its link loads and (on small nets) the dense hop-link table.
+  void build_routing();
   void build_tree_routing();
 
   /// Link index between adjacent nodes via the CSR rows; noexcept fast

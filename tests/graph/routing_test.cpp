@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include "graph/builders.hpp"
 #include "graph/roles.hpp"
+#include "simulator/network.hpp"
 
 namespace dq::graph {
 namespace {
@@ -55,24 +62,6 @@ TEST(RoutingTable, RingDistancesAreMinimal) {
   EXPECT_EQ(rt.distance(2, 6), 4u);
 }
 
-TEST(RoutingTable, StarLinkLoads) {
-  const Graph g = make_star(4);  // hub 0, leaves 1..3
-  const RoutingTable rt(g);
-  // Ordered pairs: leaf<->leaf paths (3*2 = 6) cross two hub links each;
-  // hub<->leaf (6 ordered) cross one. Each hub-leaf link carries:
-  // 2 (to/from hub) + 2*2 (as transit for the other two leaves, both
-  // directions) = 6.
-  for (NodeId leaf = 1; leaf < 4; ++leaf)
-    EXPECT_EQ(rt.link_load(make_link_key(0, leaf)), 6u);
-  EXPECT_EQ(rt.total_link_load(), 18u);
-}
-
-TEST(RoutingTable, LinkLoadUnknownLinkThrows) {
-  const Graph g = make_star(4);
-  const RoutingTable rt(g);
-  EXPECT_THROW(rt.link_load(make_link_key(1, 2)), std::invalid_argument);
-}
-
 TEST(RoutingTable, PathCoverageHubCoversAllLeafPairs) {
   const Graph g = make_star(6);
   const RoutingTable rt(g);
@@ -111,6 +100,20 @@ TEST(RoutingTable, PathCoverageValidatesViaSize) {
                std::invalid_argument);
 }
 
+TEST(RoutingTable, PathCoverageRejectsOutOfRangeHost) {
+  const Graph g = make_star(4);
+  const RoutingTable rt(g);
+  EXPECT_THROW(rt.path_coverage({1, 4}, std::vector<char>(4, 0)),
+               std::out_of_range);
+}
+
+TEST(RoutingTable, PathRejectsOutOfRangeIds) {
+  const Graph g = make_star(4);
+  const RoutingTable rt(g);
+  EXPECT_THROW(rt.path(4, 1), std::out_of_range);
+  EXPECT_THROW(rt.path(1, 4), std::out_of_range);
+}
+
 TEST(RoutingTable, NodeTransitLoadsOnStar) {
   const Graph g = make_star(5);  // hub 0, leaves 1..4
   const RoutingTable rt(g);
@@ -143,6 +146,12 @@ TEST(Roles, TransitAssignmentPicksTheHub) {
   EXPECT_EQ(roles.backbone[0], 0u);
 }
 
+TEST(Roles, TransitAssignmentRejectsTableOfAnotherGraph) {
+  const RoutingTable rt(make_star(5));
+  EXPECT_THROW(assign_roles_by_transit(make_star(20), rt, 0.05, 0.0),
+               std::invalid_argument);
+}
+
 TEST(Roles, TransitAndDegreeAgreeAtTheTopOfPowerLaw) {
   Rng rng(6);
   const Graph g = make_barabasi_albert(300, 2, rng);
@@ -167,6 +176,112 @@ TEST(RoutingTable, DeterministicTieBreaking) {
   g.add_edge(2, 3);
   const RoutingTable rt(g);
   EXPECT_EQ(rt.next_hop(0, 3).value(), 1u);
+}
+
+// The routing algorithms RoutingTable replaced, kept here as the oracle
+// for its per-destination BFS and leaves-first fold: a BFS from every
+// source over a std::deque that sorts each node's neighbors as it visits
+// them, and a walk of every ordered pair's path for the loads.
+struct ReferenceRouting {
+  std::size_t n = 0;
+  std::vector<std::uint32_t> dist;  // n*n, row = source
+  std::vector<NodeId> next;         // n*n, row = source
+  std::vector<std::uint64_t> transit;
+
+  explicit ReferenceRouting(const Graph& g) : n(g.num_nodes()) {
+    constexpr std::uint32_t kUnreachable =
+        std::numeric_limits<std::uint32_t>::max();
+    dist.assign(n * n, kUnreachable);
+    next.assign(n * n, 0);
+    std::vector<NodeId> sorted_neighbors;
+    for (NodeId src = 0; src < n; ++src) {
+      dist[src * n + src] = 0;
+      next[src * n + src] = src;
+      std::deque<NodeId> queue = {src};
+      while (!queue.empty()) {
+        const NodeId u = queue.front();
+        queue.pop_front();
+        sorted_neighbors.assign(g.neighbors(u).begin(), g.neighbors(u).end());
+        std::sort(sorted_neighbors.begin(), sorted_neighbors.end());
+        for (NodeId v : sorted_neighbors) {
+          if (dist[src * n + v] != kUnreachable) continue;
+          dist[src * n + v] = dist[src * n + u] + 1;
+          next[src * n + v] = (u == src) ? v : next[src * n + u];
+          queue.push_back(v);
+        }
+      }
+    }
+    transit.assign(n, 0);
+    for (NodeId src = 0; src < n; ++src)
+      for (NodeId dst = 0; dst < n; ++dst)
+        for (NodeId cur = src; cur != dst;) {
+          cur = next[cur * n + dst];
+          if (cur != dst) ++transit[cur];
+        }
+  }
+
+  /// Per-link ordered-pair counts, indexed like `net`'s links.
+  std::vector<std::uint64_t> link_loads(const sim::Network& net) const {
+    std::vector<std::uint64_t> loads(net.num_links(), 0);
+    for (NodeId src = 0; src < n; ++src)
+      for (NodeId dst = 0; dst < n; ++dst)
+        for (NodeId cur = src; cur != dst;) {
+          const NodeId nxt = next[cur * n + dst];
+          ++loads[net.link_index(cur, nxt)];
+          cur = nxt;
+        }
+    return loads;
+  }
+};
+
+TEST(RoutingTable, FoldMatchesPerSourceBfsAndPathWalks) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  {
+    Rng rng(11);
+    graphs.emplace_back("ba", make_barabasi_albert(300, 2, rng));
+  }
+  {
+    Rng rng(12);
+    Graph g = make_waxman(200, 0.4, 0.2, rng);
+    ensure_connected(g);
+    graphs.emplace_back("waxman", std::move(g));
+  }
+  {
+    Rng rng(13);
+    Graph g = make_erdos_renyi(200, 0.02, rng);
+    ensure_connected(g);
+    graphs.emplace_back("erdos-renyi", std::move(g));
+  }
+  {
+    Rng rng(14);
+    graphs.emplace_back("subnets", make_subnet_topology(6, 12, rng).graph);
+  }
+  graphs.emplace_back("star", make_star(40));
+  graphs.emplace_back("ring-even", make_ring(64));
+  graphs.emplace_back("ring-odd", make_ring(101));
+
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const ReferenceRouting ref(g);
+    const sim::Network net(g);
+    const RoutingTable& rt = net.routing();
+    const auto n = static_cast<NodeId>(g.num_nodes());
+    for (NodeId from = 0; from < n; ++from)
+      for (NodeId to = 0; to < n; ++to) {
+        ASSERT_EQ(rt.distance(from, to), ref.dist[from * n + to]);
+        if (from != to) {
+          ASSERT_EQ(rt.next_hop(from, to).value(), ref.next[from * n + to]);
+        }
+      }
+    const std::vector<std::uint64_t> loads = ref.link_loads(net);
+    std::uint64_t total = 0;
+    for (std::size_t l = 0; l < net.num_links(); ++l) {
+      EXPECT_EQ(net.link_load(l), loads[l]);
+      total += loads[l];
+    }
+    EXPECT_EQ(net.total_link_load(), total);
+    EXPECT_EQ(rt.node_transit_loads(), ref.transit);
+  }
 }
 
 }  // namespace

@@ -98,6 +98,22 @@ TEST(Profiler, ChromeTraceIsValidJsonWithMetadataAndSpans) {
   EXPECT_DOUBLE_EQ(second.find("ts")->as_number(), 3.0);
 }
 
+TEST(Profiler, ChromeTraceEscapesQuotesAndBackslashesInNames) {
+  Profiler profiler;
+  SpanBuffer* track = profiler.track("job \"a\\b\"");
+  track->record("say \"hi\" \\ bye", 1'000, 2'000);
+
+  std::ostringstream out;
+  profiler.write_chrome_trace(out);
+  EXPECT_EQ(out.str(),
+            "{\"traceEvents\":["
+            "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":0,"
+            "\"args\":{\"name\":\"job \\\"a\\\\b\\\"\"}},"
+            "{\"ph\":\"X\",\"name\":\"say \\\"hi\\\" \\\\ bye\",\"pid\":1,"
+            "\"tid\":0,\"ts\":0.000,\"dur\":2.000}"
+            "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
 TEST(Profiler, AggregateGroupsByNameSortedByTotalDescending) {
   Profiler profiler;
   SpanBuffer* a = profiler.track("a");

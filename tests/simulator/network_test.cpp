@@ -27,9 +27,13 @@ TEST(Network, LinkIndexRoundTrip) {
 
 TEST(Network, LinkLoadsAndMean) {
   const Network net(graph::make_star(4), 0.25, 0.0);
-  // All three hub links carry load 6 (see routing tests).
+  // Ordered pairs: leaf<->leaf paths (3*2 = 6) cross two hub links each;
+  // hub<->leaf (6 ordered) cross one. Each hub-leaf link carries:
+  // 2 (to/from hub) + 2*2 (as transit for the other two leaves, both
+  // directions) = 6.
   for (std::size_t l = 0; l < net.num_links(); ++l)
     EXPECT_EQ(net.link_load(l), 6u);
+  EXPECT_EQ(net.total_link_load(), 18u);
   EXPECT_DOUBLE_EQ(net.mean_link_load(), 6.0);
 }
 
