@@ -37,6 +37,37 @@ TEST(RoutingTable, StarNextHopsGoThroughHub) {
   EXPECT_FALSE(rt.next_hop(2, 2).has_value());
 }
 
+TEST(RoutingTable, StarLinkLoads) {
+  const Graph g = make_star(4);  // hub 0, leaves 1..3
+  std::vector<std::uint64_t> load_by_leaf(4, 0);
+  const RoutingTable rt(g, [&](NodeId from, NodeId next, std::uint64_t pairs) {
+    const LinkKey key = make_link_key(from, next);
+    ASSERT_EQ(key.a, 0u);  // every star link touches the hub
+    load_by_leaf[key.b] += pairs;
+  });
+  // Ordered pairs: leaf<->leaf paths (3*2 = 6) cross two hub links each;
+  // hub<->leaf (6 ordered) cross one. Each hub-leaf link carries:
+  // 2 (to/from hub) + 2*2 (as transit for the other two leaves, both
+  // directions) = 6.
+  std::uint64_t total = 0;
+  for (NodeId leaf = 1; leaf < 4; ++leaf) {
+    EXPECT_EQ(load_by_leaf[leaf], 6u);
+    total += load_by_leaf[leaf];
+  }
+  EXPECT_EQ(total, 18u);
+}
+
+TEST(RoutingTable, LinkLoadUnknownLinkThrows) {
+  const Graph g = make_star(4);
+  // The table reports no hop over a link the graph lacks...
+  const RoutingTable rt(g, [](NodeId from, NodeId next, std::uint64_t) {
+    EXPECT_NE(make_link_key(from, next), make_link_key(1, 2));
+  });
+  // ...and looking up that link's load throws.
+  const sim::Network net(g, 0.25, 0.0);
+  EXPECT_THROW(net.link_load(net.link_index(1, 2)), std::invalid_argument);
+}
+
 TEST(RoutingTable, PathEndpointsAndContinuity) {
   Rng rng(1);
   const Graph g = make_barabasi_albert(60, 2, rng);
