@@ -10,15 +10,21 @@
 // queue at its release_time on restore, and queue ordering is fully
 // determined by (time, host) contents.
 //
-// Encoding is column-oriented (one JSON array per field, hosts in id
-// order) through the campaign canonical serializer: insertion-ordered
-// keys, shortest-round-trip numbers, no whitespace. Doubles round-trip
-// exactly and plain non-negative integers keep full 64-bit precision
-// (the sketch bitmap), so snapshot → restore → snapshot reproduces
-// identical bytes.
+// Each section — host arrays, block-pool store, engine snapshot — has
+// exactly one encoder, which emits the bytes directly (no JsonValue
+// tree), and one decoder over a parsed JsonValue. Serve checkpoints
+// reuse the same section codecs, so engine snapshots and checkpoints
+// cannot drift apart. Encoding is column-oriented (one JSON array per
+// field, hosts in id order) in canonical form: insertion-ordered keys,
+// shortest-round-trip doubles, integers at full 64-bit precision (the
+// sketch bitmap), window index -1 as "-1", no whitespace. Decoders
+// check declared sizes against array lengths before allocating and
+// reject any value whose field cannot hold it, so every accepted
+// document re-serializes to its own bytes.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "campaign/json.hpp"
@@ -40,44 +46,49 @@ struct HostArrays {
   std::vector<DetectorState> detectors;
 };
 
-/// Column-oriented encoding of equally sized record/detector arrays.
-campaign::JsonValue host_arrays_to_json(
-    const std::vector<HostRecord>& records,
-    const std::vector<DetectorState>& detectors);
+/// Appends the column-oriented encoding of `hosts` to `out`. Throws
+/// std::invalid_argument when the two arrays differ in length.
+void append_host_arrays_json(const HostArrays& hosts, std::string& out);
 
-/// Appends exactly host_arrays_to_json(...).dump() to `out` without
-/// building the JsonValue tree — the hot path of periodic serve
-/// checkpoints, where materializing ~10 nodes per host dominates the
-/// pipeline stall (tests assert byte-equality of both paths).
-void append_host_arrays_json(const std::vector<HostRecord>& records,
-                             const std::vector<DetectorState>& detectors,
-                             std::string& out);
-
-/// Inverse of host_arrays_to_json. Throws std::invalid_argument on
+/// Inverse of append_host_arrays_json. Throws std::invalid_argument on
 /// missing columns, length mismatches, or out-of-range values.
 HostArrays host_arrays_from_json(const campaign::JsonValue& json);
 
-/// Shared-bitmap pool state (EstimatorBackend::kSharedBitmap): per
-/// block, the current window index and both pools' words, blocks in
-/// global order. Zero-bit counts are derived on restore.
-campaign::JsonValue store_to_json(const CompactEstimatorStore& store);
+/// Shared-bitmap pool state (EstimatorBackend::kSharedBitmap), the
+/// store's counterpart of HostArrays: per block, the window index and
+/// both pools' words, blocks in global order. Zero-bit counts are
+/// derived on restore. The serve layer gathers blocks across shard
+/// stores in global block order, so the bytes are shard-count
+/// independent.
+struct StoreBlocks {
+  std::size_t words_per_block = 0;
+  std::vector<std::int64_t> window;  ///< per block; -1 before first use
+  std::vector<std::uint64_t> pool;   ///< window.size() × words_per_block
 
-/// Direct-emission twin of store_to_json (byte-identical dump), for
-/// the serve checkpoint hot path.
-void append_store_json(const CompactEstimatorStore& store,
-                       std::string& out);
+  std::size_t num_blocks() const noexcept { return window.size(); }
+  /// Appends block `block` of `store` as the next block.
+  void push_block(const CompactEstimatorStore& store, std::size_t block);
+  /// Overwrites block `block` of `store` with block `i`. Throws
+  /// std::invalid_argument naming block `i` on a pool-geometry mismatch
+  /// or words the store rejects (bits past the pool width, nonzero
+  /// pools in an untouched block). Restore block pools *before*
+  /// per-host detector state: compact host windows are stored relative
+  /// to their block's window.
+  void restore_block(std::size_t i, CompactEstimatorStore& store,
+                     std::size_t block) const;
+};
 
-/// Inverse of store_to_json. `store` must have matching geometry
-/// (block count, words per block — both implied by the engine config
-/// the caller already validated). Throws std::invalid_argument on
-/// mismatch, malformed input, or pool words with stray bits. Restore
-/// block pools *before* per-host detector state: compact host windows
-/// are stored relative to their block's window.
-void restore_store(CompactEstimatorStore& store,
-                   const campaign::JsonValue& json);
+/// Appends the encoding of `blocks` to `out`.
+void append_store_blocks_json(const StoreBlocks& blocks, std::string& out);
+
+/// Inverse of append_store_blocks_json. Throws std::invalid_argument on
+/// malformed input or window/pool lengths that disagree with the
+/// declared num_blocks × words_per_block.
+StoreBlocks store_blocks_from_json(const campaign::JsonValue& json);
 
 /// Full engine snapshot: schema version, config, quarantine-event
-/// count, host arrays, and (under kSharedBitmap) the block pool store.
+/// count, host arrays, and (under kSharedBitmap) the block pool store —
+/// the section encoders above, composed and parsed back into a tree.
 ///
 /// Version history — restore_engine refuses anything but the current:
 ///   1  (implicit, no "version" key): exact backend only.

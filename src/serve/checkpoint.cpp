@@ -24,32 +24,6 @@ const JsonValue& need(const JsonValue& json, const char* key) {
 
 }  // namespace
 
-JsonValue CheckpointState::to_json() const {
-  JsonValue labels = JsonValue::array();
-  for (const double t : label_time) labels.push_back(JsonValue::number(t));
-  JsonValue samples = JsonValue::array();
-  for (const std::string& s : parse_error_samples)
-    samples.push_back(JsonValue::str(s));
-
-  JsonValue out = JsonValue::object();
-  out.set("format", JsonValue::str("dq_serve_checkpoint"));
-  out.set("version", JsonValue::integer(kCheckpointVersion));
-  out.set("num_hosts", JsonValue::integer(num_hosts));
-  out.set("flows_ingested", JsonValue::integer(flows_ingested));
-  out.set("last_time", JsonValue::number(last_time));
-  out.set("time_regressions", JsonValue::integer(time_regressions));
-  out.set("parse_errors", JsonValue::integer(parse_errors));
-  out.set("parse_error_samples", std::move(samples));
-  out.set("shed_flows", JsonValue::integer(shed_flows));
-  out.set("quarantine_events", JsonValue::integer(quarantine_events));
-  out.set("quarantine_config", config);
-  out.set("label_time", std::move(labels));
-  out.set("hosts",
-          quarantine::host_arrays_to_json(hosts.records, hosts.detectors));
-  if (!store.is_null()) out.set("estimator_store", store);
-  return out;
-}
-
 CheckpointState CheckpointState::from_json(const JsonValue& json) {
   try {
     if (json.kind() != JsonValue::Kind::kObject)
@@ -61,9 +35,11 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
       corrupt("unsupported checkpoint version");
 
     CheckpointState state;
-    state.num_hosts =
-        static_cast<std::uint32_t>(need(json, "num_hosts").as_uint());
-    if (state.num_hosts == 0) corrupt("num_hosts is zero");
+    const std::uint64_t num_hosts = need(json, "num_hosts").as_uint();
+    if (num_hosts == 0 || num_hosts > UINT32_MAX)
+      corrupt("num_hosts " + std::to_string(num_hosts) +
+              " outside [1, 2^32)");
+    state.num_hosts = static_cast<std::uint32_t>(num_hosts);
     state.flows_ingested = need(json, "flows_ingested").as_uint();
     state.last_time = need(json, "last_time").as_number();
     state.time_regressions = need(json, "time_regressions").as_uint();
@@ -86,7 +62,7 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
     // Present only for shared-bitmap runs; the server validates it
     // against its own engine geometry on restore.
     if (const JsonValue* store = json.find("estimator_store"))
-      state.store = *store;
+      state.store = quarantine::store_blocks_from_json(*store);
     return state;
   } catch (const CheckpointError&) {
     throw;
@@ -96,12 +72,9 @@ CheckpointState CheckpointState::from_json(const JsonValue& json) {
   }
 }
 
-namespace {
-
-/// Exactly state.to_json().dump(), built by direct string emission —
-/// the per-host and per-label columns dominate checkpoint cost, and
-/// materializing a JsonValue node per value is ~10x the to_chars work.
-/// The robustness tests assert byte-equality of the two paths.
+// Direct string emission: the per-host and per-label columns dominate
+// checkpoint cost, and materializing a JsonValue node per value is ~10x
+// the to_chars work.
 std::string serialize_checkpoint(const CheckpointState& state) {
   std::string out;
   // ~16 bytes per host column entry across 14 columns.
@@ -138,19 +111,14 @@ std::string serialize_checkpoint(const CheckpointState& state) {
     out += campaign::format_double(t);
   }
   out += "],\"hosts\":";
-  quarantine::append_host_arrays_json(state.hosts.records,
-                                      state.hosts.detectors, out);
-  if (!state.store.is_null()) {
-    // The store tree is ~0.2 nodes/host (one word per 64 pool bits),
-    // so dumping it is off the hot path the columns dominate.
+  quarantine::append_host_arrays_json(state.hosts, out);
+  if (state.store) {
     out += ",\"estimator_store\":";
-    out += state.store.dump();
+    quarantine::append_store_blocks_json(*state.store, out);
   }
   out += '}';
   return out;
 }
-
-}  // namespace
 
 void write_checkpoint_file(const std::string& path,
                            const CheckpointState& state) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -63,14 +64,19 @@ struct CheckpointState {
   std::vector<double> label_time;
   /// Engine state per global host (quarantine/snapshot.hpp).
   quarantine::HostArrays hosts;
-  /// Shared-bitmap block pools (quarantine::store_to_json), blocks in
-  /// global order; JSON null when the run used the exact backend.
-  campaign::JsonValue store;
+  /// Shared-bitmap block pools in global block order; empty when the
+  /// run used the exact backend.
+  std::optional<quarantine::StoreBlocks> store;
 
-  campaign::JsonValue to_json() const;
-  /// Throws CheckpointError on anything malformed or inconsistent.
+  /// The one decoder. Throws CheckpointError on anything malformed or
+  /// inconsistent.
   static CheckpointState from_json(const campaign::JsonValue& json);
 };
+
+/// The one encoder: canonical bytes of `state` (no trailing newline),
+/// emitted directly through the quarantine/snapshot.hpp section
+/// encoders. from_json of the parsed bytes re-serializes identically.
+std::string serialize_checkpoint(const CheckpointState& state);
 
 /// Serializes and atomically writes `state` to `path` (tmp + rename).
 /// Honors the torn_checkpoint failpoint. Throws std::runtime_error on

@@ -136,9 +136,18 @@ TEST(QuarantineSnapshot, SnapshotOfRestoredEngineIsByteIdentical) {
   EXPECT_EQ(engine_to_json(restored).dump(), bytes);
 }
 
+std::string host_arrays_bytes(const HostArrays& hosts) {
+  std::string out;
+  append_host_arrays_json(hosts, out);
+  return out;
+}
+
 TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
-  std::vector<HostRecord> records(3);
-  std::vector<DetectorState> detectors(3);
+  HostArrays hosts;
+  hosts.records.resize(3);
+  hosts.detectors.resize(3);
+  std::vector<HostRecord>& records = hosts.records;
+  std::vector<DetectorState>& detectors = hosts.detectors;
   records[1].state = HostQState::kQuarantined;
   records[1].strikes = 2;
   records[1].offenses = 3;
@@ -155,8 +164,11 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
   detectors[1].dest_sketch = 0xffffffffffffffffULL;  // needs 64 bits
   detectors[1].flagged = true;
 
-  const campaign::JsonValue json = host_arrays_to_json(records, detectors);
-  const HostArrays back = host_arrays_from_json(json);
+  const std::string bytes = host_arrays_bytes(hosts);
+  // The emitter writes canonical JSON: the generic tree reproduces it.
+  EXPECT_EQ(campaign::JsonValue::parse(bytes).dump(), bytes);
+  const HostArrays back =
+      host_arrays_from_json(campaign::JsonValue::parse(bytes));
   ASSERT_EQ(back.records.size(), 3u);
   EXPECT_EQ(back.records[1].state, HostQState::kQuarantined);
   EXPECT_EQ(back.records[1].release_time, 340.125);
@@ -165,9 +177,16 @@ TEST(QuarantineSnapshot, HostArraysRoundTripPreservesFullSketchPrecision) {
   EXPECT_EQ(back.detectors[1].dest_sketch, 0xffffffffffffffffULL);
   EXPECT_TRUE(back.detectors[1].flagged);
   // And the encoding itself round-trips byte-for-byte.
-  EXPECT_EQ(
-      host_arrays_to_json(back.records, back.detectors).dump(),
-      json.dump());
+  EXPECT_EQ(host_arrays_bytes(back), bytes);
+}
+
+/// `json` with column `key` replaced by the single value `value`.
+campaign::JsonValue with_single(campaign::JsonValue json, const char* key,
+                                campaign::JsonValue value) {
+  campaign::JsonValue col = campaign::JsonValue::array();
+  col.push_back(std::move(value));
+  json.set(key, std::move(col));
+  return json;
 }
 
 TEST(QuarantineSnapshot, RejectsMalformedInput) {
@@ -194,20 +213,73 @@ TEST(QuarantineSnapshot, RejectsMalformedInput) {
                  std::invalid_argument);
   }
   // Column arrays of unequal length.
-  EXPECT_THROW(
-      host_arrays_to_json(std::vector<HostRecord>(2),
-                          std::vector<DetectorState>(3)),
-      std::invalid_argument);
-  // Out-of-range state enum.
   {
-    std::vector<HostRecord> recs(1);
-    std::vector<DetectorState> dets(1);
-    campaign::JsonValue json = host_arrays_to_json(recs, dets);
-    campaign::JsonValue bad_states = campaign::JsonValue::array();
-    bad_states.push_back(campaign::JsonValue::integer(9));
-    json.set("state", std::move(bad_states));
-    EXPECT_THROW(host_arrays_from_json(json), std::invalid_argument);
+    HostArrays uneven;
+    uneven.records.resize(2);
+    uneven.detectors.resize(3);
+    EXPECT_THROW(host_arrays_bytes(uneven), std::invalid_argument);
   }
+  HostArrays one;
+  one.records.resize(1);
+  one.detectors.resize(1);
+  const campaign::JsonValue good =
+      campaign::JsonValue::parse(host_arrays_bytes(one));
+  ASSERT_NO_THROW(host_arrays_from_json(good));
+  // Out-of-range state enum.
+  EXPECT_THROW(host_arrays_from_json(with_single(
+                   good, "state", campaign::JsonValue::integer(9))),
+               std::invalid_argument);
+  // 32-bit counters must not wrap: 2^32 + 1 would read back as 1.
+  for (const char* key :
+       {"strikes", "offenses", "det_contacts", "det_failures"})
+    EXPECT_THROW(host_arrays_from_json(with_single(
+                     good, key, campaign::JsonValue::integer(4294967297ULL))),
+                 std::invalid_argument)
+        << key;
+  // Window indices: -1 or a non-negative int64; -5 used to read as -1
+  // and 2^63 as a negative index.
+  for (const campaign::JsonValue& w :
+       {campaign::JsonValue::number(-5.0), campaign::JsonValue::number(-0.5),
+        campaign::JsonValue::integer(1ULL << 63)})
+    EXPECT_THROW(
+        host_arrays_from_json(with_single(good, "det_window", w)),
+        std::invalid_argument)
+        << w.dump();
+  // The flagged latch is 0 or 1.
+  EXPECT_THROW(host_arrays_from_json(with_single(
+                   good, "det_flagged", campaign::JsonValue::integer(2))),
+               std::invalid_argument);
+  // Declared num_hosts disagreeing with the column lengths.
+  {
+    campaign::JsonValue big = good;
+    big.set("num_hosts", campaign::JsonValue::integer(4294967297ULL));
+    EXPECT_THROW(host_arrays_from_json(big), std::invalid_argument);
+  }
+
+  // Store section: a well-formed document re-serializes to its bytes.
+  const std::string store_bytes =
+      R"({"num_blocks":2,"words_per_block":2,"window":[-1,3],)"
+      R"("pool":[0,0,18446744073709551615,1]})";
+  {
+    const StoreBlocks blocks =
+        store_blocks_from_json(campaign::JsonValue::parse(store_bytes));
+    std::string again;
+    append_store_blocks_json(blocks, again);
+    EXPECT_EQ(again, store_bytes);
+  }
+  for (const char* bad_store : {
+           // Block window below -1.
+           R"({"num_blocks":1,"words_per_block":2,"window":[-5],"pool":[0,0]})",
+           // Declared sizes disagree with the array lengths.
+           R"({"num_blocks":2,"words_per_block":2,"window":[-1],"pool":[0,0]})",
+           R"({"num_blocks":1,"words_per_block":2,"window":[-1],"pool":[0]})",
+           // num_blocks × words_per_block wraps to the empty pool's 0.
+           R"({"num_blocks":2,"words_per_block":9223372036854775808,)"
+           R"("window":[-1,-1],"pool":[]})",
+       })
+    EXPECT_THROW(store_blocks_from_json(campaign::JsonValue::parse(bad_store)),
+                 std::invalid_argument)
+        << bad_store;
 }
 
 // ---------------------------------------------------------------------

@@ -54,6 +54,17 @@ ServeOptions base_options(std::size_t shards) {
   return o;
 }
 
+/// Shared-bitmap backend over the same 512 hosts.
+ServeOptions compact_options(std::size_t shards) {
+  ServeOptions o = base_options(shards);
+  o.quarantine.estimator_backend =
+      quarantine::EstimatorBackend::kSharedBitmap;
+  o.quarantine.compact.block_hosts = 64;  // 512 hosts -> 8 blocks
+  o.quarantine.compact.pool_bits_per_host = 6;
+  o.quarantine.compact.virtual_bits = 64;
+  return o;
+}
+
 struct RunResult {
   ServeSummary summary;
   std::string decisions;
@@ -98,6 +109,19 @@ struct TempFile {
   }
   std::filesystem::path path;
 };
+
+/// `doc` with the number right after the first `marker` replaced by
+/// `value`.
+std::string with_number_after(std::string doc, const std::string& marker,
+                              const std::string& value) {
+  const std::size_t pos = doc.find(marker);
+  if (pos == std::string::npos) {
+    ADD_FAILURE() << "no " << marker;
+    return doc;
+  }
+  const std::size_t start = pos + marker.size();
+  return doc.replace(start, doc.find_first_of(",]}", start) - start, value);
+}
 
 TEST(ServeRobustness, RestoreIsByteIdenticalAcrossShardCounts) {
   constexpr std::uint64_t kFlows = 20'000;
@@ -152,12 +176,15 @@ TEST(ServeRobustness, CheckpointBytesAreShardCountInvariant) {
       EXPECT_EQ(bytes.str(), first) << shards << " shards";
   }
 
-  // And the document round-trips through the typed state exactly.
+  // The bytes are canonical JSON (the generic tree reproduces them),
+  // and the document round-trips through the typed state exactly.
+  const std::string doc = first.substr(0, first.size() - 1);  // '\n'
+  EXPECT_EQ(campaign::JsonValue::parse(doc).dump(), doc);
   const CheckpointState state =
       CheckpointState::from_json(campaign::JsonValue::parse(first));
   EXPECT_EQ(state.flows_ingested, kCut);
   EXPECT_EQ(state.num_hosts, 512u);
-  EXPECT_EQ(state.to_json().dump() + "\n", first);
+  EXPECT_EQ(serialize_checkpoint(state) + "\n", first);
 }
 
 TEST(ServeRobustness, PeriodicCheckpointsLandOnFinalState) {
@@ -290,6 +317,32 @@ TEST(ServeRobustness, CorruptCheckpointsRaiseCheckpointError) {
     EXPECT_THROW(load_checkpoint_file(torn.path.string()),
                  CheckpointError);
   }
+  // Values their fields cannot hold: each used to be truncated or
+  // clamped into an accepted checkpoint that re-serialized differently.
+  for (const bool compact : {false, true}) {
+    TempFile good("good_values_ck");
+    ServeOptions opt = compact ? compact_options(1) : base_options(1);
+    opt.checkpoint_path = good.path.string();
+    run_synthetic(opt, synth_config(5'000));
+    std::ifstream in(good.path);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    ASSERT_NO_THROW(load_checkpoint_file(good.path.string()));
+    std::vector<std::pair<std::string, std::string>> edits = {
+        {"\"num_hosts\":", "4294967808"},  // 2^32 + 512 wrapped to 512
+        {"\"strikes\":[", "4294967296"},
+        {"\"det_contacts\":[", "4294967297"},
+        {"\"det_window\":[", "-5"},
+        {"\"det_window\":[", "9223372036854775808"},
+    };
+    if (compact) edits.push_back({"\"window\":[", "-5"});  // block window
+    for (const auto& [marker, value] : edits) {
+      TempFile f("bad_value_ck");
+      std::ofstream(f.path) << with_number_after(bytes.str(), marker, value);
+      EXPECT_THROW(load_checkpoint_file(f.path.string()), CheckpointError)
+          << marker << value;
+    }
+  }
 }
 
 TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
@@ -318,25 +371,6 @@ TEST(ServeRobustness, RestoreValidatesHostCountAndConfig) {
 // Shared-bitmap backend: checkpoints gain an "estimator_store" section
 // (the block pools), which must survive shard-count changes and reject
 // corruption with typed errors.
-
-ServeOptions compact_options(std::size_t shards) {
-  ServeOptions o = base_options(shards);
-  o.quarantine.estimator_backend =
-      quarantine::EstimatorBackend::kSharedBitmap;
-  o.quarantine.compact.block_hosts = 64;  // 512 hosts -> 8 blocks
-  o.quarantine.compact.pool_bits_per_host = 6;
-  o.quarantine.compact.virtual_bits = 64;
-  return o;
-}
-
-/// Copy of `obj` minus one key (JsonValue has no erase).
-campaign::JsonValue without_key(const campaign::JsonValue& obj,
-                                std::string_view key) {
-  campaign::JsonValue out = campaign::JsonValue::object();
-  for (const auto& [k, v] : obj.members())
-    if (k != key) out.set(k, v);
-  return out;
-}
 
 TEST(ServeRobustness, CompactRestoreIsByteIdenticalAcrossShardCounts) {
   constexpr std::uint64_t kFlows = 20'000;
@@ -388,13 +422,15 @@ TEST(ServeRobustness, CompactCheckpointBytesAreShardCountInvariant) {
   }
   EXPECT_NE(first.find("\"estimator_store\""), std::string::npos);
 
-  // The document round-trips through the typed state exactly — the
-  // direct serializer and the JsonValue-tree dump must agree byte for
-  // byte on the store section too.
+  // The bytes are canonical JSON, and the document round-trips through
+  // the typed state exactly, store section included.
+  const std::string doc = first.substr(0, first.size() - 1);  // '\n'
+  EXPECT_EQ(campaign::JsonValue::parse(doc).dump(), doc);
   const CheckpointState state =
       CheckpointState::from_json(campaign::JsonValue::parse(first));
-  EXPECT_FALSE(state.store.is_null());
-  EXPECT_EQ(state.to_json().dump() + "\n", first);
+  ASSERT_TRUE(state.store.has_value());
+  EXPECT_EQ(state.store->num_blocks(), 8u);
+  EXPECT_EQ(serialize_checkpoint(state) + "\n", first);
 }
 
 TEST(ServeRobustness, CorruptEstimatorStoreIsRejectedOnRestore) {
@@ -403,39 +439,39 @@ TEST(ServeRobustness, CorruptEstimatorStoreIsRejectedOnRestore) {
   opt.checkpoint_path = ck.path.string();
   run_synthetic(opt, synth_config(5'000));
   const CheckpointState good = load_checkpoint_file(ck.path.string());
-  ASSERT_FALSE(good.store.is_null());
+  ASSERT_TRUE(good.store.has_value());
 
-  // Store section dropped from a compact checkpoint.
-  {
-    CheckpointState bad = good;
-    bad.store = campaign::JsonValue();
+  const auto rejected = [](const CheckpointState& bad) {
     ServeOptions r = compact_options(2);
     r.restore = std::make_shared<const CheckpointState>(bad);
     EXPECT_THROW(ServeServer{r}, std::invalid_argument);
+  };
+  // Store section dropped from a compact checkpoint.
+  {
+    CheckpointState bad = good;
+    bad.store.reset();
+    rejected(bad);
   }
   // Truncated pool array.
   {
     CheckpointState bad = good;
-    campaign::JsonValue pool = campaign::JsonValue::array();
-    const auto& words = good.store.at("pool").items();
-    for (std::size_t i = 0; i + 1 < words.size(); ++i)
-      pool.push_back(words[i]);
-    campaign::JsonValue store = without_key(good.store, "pool");
-    store.set("pool", std::move(pool));
-    bad.store = std::move(store);
-    ServeOptions r = compact_options(2);
-    r.restore = std::make_shared<const CheckpointState>(bad);
-    EXPECT_THROW(ServeServer{r}, std::invalid_argument);
+    bad.store->pool.pop_back();
+    rejected(bad);
   }
   // Wrong geometry (block count from some other config).
   {
     CheckpointState bad = good;
-    campaign::JsonValue store = without_key(good.store, "num_blocks");
-    store.set("num_blocks", campaign::JsonValue::integer(99));
-    bad.store = std::move(store);
-    ServeOptions r = compact_options(2);
-    r.restore = std::make_shared<const CheckpointState>(bad);
-    EXPECT_THROW(ServeServer{r}, std::invalid_argument);
+    bad.store->window.resize(99, -1);
+    bad.store->pool.resize(99 * bad.store->words_per_block, 0);
+    rejected(bad);
+  }
+  // Wrong pool width (words per block from some other config).
+  {
+    CheckpointState bad = good;
+    bad.store->words_per_block /= 2;
+    bad.store->pool.resize(bad.store->num_blocks() *
+                           bad.store->words_per_block);
+    rejected(bad);
   }
 }
 
@@ -445,8 +481,8 @@ TEST(ServeRobustness, EstimatorStoreOnExactCheckpointRejected) {
   opt.checkpoint_path = ck.path.string();
   run_synthetic(opt, synth_config(5'000));
   CheckpointState bad = load_checkpoint_file(ck.path.string());
-  ASSERT_TRUE(bad.store.is_null());
-  bad.store = campaign::JsonValue::object();  // store on an exact engine
+  ASSERT_FALSE(bad.store.has_value());
+  bad.store.emplace();  // store on an exact engine
 
   ServeOptions r = base_options(1);
   r.restore = std::make_shared<const CheckpointState>(bad);

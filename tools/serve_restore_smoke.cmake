@@ -5,12 +5,17 @@
 # shard-count invariant and that restoring a corrupt checkpoint fails
 # with a diagnostic, not a crash or a silent fresh start.
 #
-# Artifacts stay in ${CMAKE_CURRENT_BINARY_DIR}/serve-restore-smoke so
-# CI can upload checkpoint.json for inspection.
-set(dir ${CMAKE_CURRENT_BINARY_DIR}/serve-restore-smoke)
+# EXTRA_ARGS (one space-separated string) is appended to every serve
+# command, e.g. "--estimator shared_bitmap --block-hosts 64" for the
+# shared-bitmap store; SUFFIX keeps each variant's artifacts apart.
+#
+# Artifacts stay in ${CMAKE_CURRENT_BINARY_DIR}/serve-restore-smoke${SUFFIX}
+# so CI can upload checkpoint.json for inspection.
+set(dir ${CMAKE_CURRENT_BINARY_DIR}/serve-restore-smoke${SUFFIX})
 file(REMOVE_RECURSE ${dir})
 file(MAKE_DIRECTORY ${dir})
-set(stream --synthetic --flows 20000 --hosts 512)
+separate_arguments(extra UNIX_COMMAND "${EXTRA_ARGS}")
+set(stream --synthetic --flows 20000 --hosts 512 ${extra})
 
 # Uninterrupted reference run.
 execute_process(COMMAND ${DQCTL} serve ${stream} --shards 2
