@@ -75,7 +75,9 @@ std::uint64_t JsonValue::as_uint() const {
   if (kind_ != Kind::kNumber)
     throw std::invalid_argument("JSON: not a number");
   if (integral_) return uint_;
-  if (number_ < 0.0 || number_ != std::floor(number_))
+  // 2^64 and above would not fit: casting them is undefined behaviour.
+  if (number_ < 0.0 || number_ != std::floor(number_) ||
+      number_ >= 18446744073709551616.0)
     throw std::invalid_argument("JSON: not an unsigned integer");
   return static_cast<std::uint64_t>(number_);
 }
@@ -366,6 +368,7 @@ class Parser {
 
   JsonValue parse_array() {
     expect('[');
+    const DepthGuard guard(*this);
     JsonValue out = JsonValue::array();
     skip_ws();
     if (consume(']')) return out;
@@ -379,6 +382,7 @@ class Parser {
 
   JsonValue parse_object() {
     expect('{');
+    const DepthGuard guard(*this);
     JsonValue out = JsonValue::object();
     skip_ws();
     if (consume('}')) return out;
@@ -394,8 +398,20 @@ class Parser {
     }
   }
 
+  // Counts the arrays and objects open on the recursion stack, so one
+  // hostile document cannot overflow it.
+  struct DepthGuard {
+    explicit DepthGuard(Parser& parser) : depth(parser.depth_) {
+      if (depth >= JsonValue::kMaxDepth) parser.fail("nesting too deep");
+      ++depth;
+    }
+    ~DepthGuard() { --depth; }
+    std::size_t& depth;
+  };
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -66,8 +66,12 @@ class JsonValue {
   /// shortest-round-trip numbers.
   std::string dump() const;
 
+  /// Deepest nesting parse() accepts: the parser recurses per level,
+  /// and every reader of untrusted JSON relies on this bound.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parses standard JSON. Throws std::invalid_argument on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or nesting deeper than kMaxDepth.
   static JsonValue parse(std::string_view text);
 
  private:

@@ -4,8 +4,11 @@
 // Flow NDJSON input schema (one object per line):
 //   {"t":12.5,"host":3,"dest":991,"failed":true,"worm":false}
 //   - t      observation time in seconds (required, finite, >= 0)
-//   - host   monitored source host id (required, < configured hosts)
-//   - dest   stable destination key — IP, node id, hash (required)
+//   - host   monitored source host id: an unsigned integer id
+//            (required, < configured hosts; 3.0 is host 3, 3.7 is
+//            malformed)
+//   - dest   stable destination key — IP, node id, hash (required,
+//            unsigned integer < 2^64)
 //   - failed caller-defined failure signal (optional, default false)
 //   - worm   ground-truth label: host is worm-infected as of t
 //            (optional, default false; drives the final report only,
@@ -58,8 +61,11 @@ struct Decision {
 
 /// Parses one NDJSON flow line. Returns false on anything malformed —
 /// bad JSON, wrong types, missing fields, non-finite or negative time,
-/// host >= num_hosts — never throws. Blank lines are malformed (the
-/// caller skips genuinely empty lines before parsing).
+/// a host that is not an integer < num_hosts — never throws. Blank
+/// lines are malformed (the caller skips genuinely empty lines before
+/// parsing). Lines in the schema's key order without whitespace take a
+/// non-allocating fast path; any other line takes the general JSON
+/// parser, with identical results.
 bool parse_flow_line(std::string_view line, std::uint32_t num_hosts,
                      Flow& out) noexcept;
 

@@ -61,6 +61,33 @@ TEST(Json, ParseRejectsGarbage) {
   EXPECT_THROW(JsonValue::parse("nul"), std::invalid_argument);
 }
 
+TEST(Json, ParseCapsNesting) {
+  // One line of brackets must not recurse the parser off its stack.
+  EXPECT_THROW(JsonValue::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  const std::size_t cap = JsonValue::kMaxDepth;
+  const std::string at_cap = std::string(cap, '[') + std::string(cap, ']');
+  EXPECT_EQ(JsonValue::parse(at_cap).dump(), at_cap);
+  EXPECT_THROW(JsonValue::parse("[" + at_cap + "]"), std::invalid_argument);
+  std::string objects;
+  for (std::size_t i = 0; i <= cap; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(cap + 1, '}');
+  EXPECT_THROW(JsonValue::parse(objects), std::invalid_argument);
+}
+
+TEST(Json, AsUintRejectsNonIntegersAndValuesPast64Bits) {
+  EXPECT_EQ(JsonValue::parse("18446744073709551615").as_uint(),
+            18446744073709551615ULL);
+  EXPECT_EQ(JsonValue::parse("3.0").as_uint(), 3u);
+  EXPECT_EQ(JsonValue::parse("3e0").as_uint(), 3u);
+  EXPECT_EQ(JsonValue::parse("1.8446744073709550e19").as_uint(),
+            18446744073709549568ULL);
+  for (const char* text : {"18446744073709551616", "1.8446744073709552e19",
+                           "1e30", "1e308", "3.7", "-1", "-0.5"})
+    EXPECT_THROW(JsonValue::parse(text).as_uint(), std::invalid_argument)
+        << text;
+}
+
 // --- hashing ---
 
 JobConfig small_sim_job(double contact_rate = 0.8) {

@@ -54,13 +54,41 @@ TEST(NdjsonFlowSource, GarbageIsCountedAndSkippedNeverFatal) {
       "{\"t\":4,\"host\":99,\"dest\":5}\n"         // host out of range
       "[1,2,3]\n"                                  // not an object
       "{\"t\":5,\"host\":2,\"dest\":6,\"failed\":false}\n"
+      "{\"t\":2,\"host\":1,\"dest\":1e30}\n"     // dest past 2^64
+      "{\"t\":3,\"host\":2,\"dest\":18446744073709551616}\n"  // 2^64
+      "{\"t\":1,\"host\":3.7,\"dest\":5}\n"       // fractional host
       "{\"t\":6,\"host\":2,\"dest\":7,\"failed\"");  // truncated last line
   NdjsonFlowSource source(in, 16);
   const std::vector<Flow> flows = drain(source);
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_EQ(flows[0].host, 1u);
   EXPECT_EQ(flows[1].host, 2u);
-  EXPECT_EQ(source.parse_errors(), 9u);
+  EXPECT_EQ(source.parse_errors(), 12u);
+}
+
+TEST(NdjsonFlowSource, IntegralHostIdsInAnyNumberForm) {
+  std::istringstream in(
+      "{\"t\":1,\"host\":3.0,\"dest\":5}\n"
+      "{\"t\":2,\"host\":3e0,\"dest\":5}\n"
+      "{\"t\":3,\"host\":3,\"dest\":5}\n");
+  NdjsonFlowSource source(in, 16);
+  const std::vector<Flow> flows = drain(source);
+  ASSERT_EQ(flows.size(), 3u);
+  for (const Flow& f : flows) EXPECT_EQ(f.host, 3u);
+  EXPECT_EQ(source.parse_errors(), 0u);
+}
+
+TEST(NdjsonFlowSource, DeeplyNestedLineIsOneParseError) {
+  std::istringstream in(std::string(200000, '[') +
+                        "\n{\"t\":1,\"host\":1,\"dest\":5}\n");
+  NdjsonFlowSource source(in, 16);
+  const std::vector<Flow> flows = drain(source);
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].dest, 5u);
+  EXPECT_EQ(source.parse_errors(), 1u);
+  ASSERT_EQ(source.parse_error_samples().size(), 1u);
+  EXPECT_EQ(source.parse_error_samples()[0],
+            std::string(NdjsonFlowSource::kMaxSampleLength, '['));
 }
 
 TEST(NdjsonFlowSource, BlankAndCrlfLinesAreTolerated) {
